@@ -1,11 +1,10 @@
 // Google-benchmark micro benches for the building blocks: the DES engine's
-// event throughput, the real producer buffer, the block policy, the fabric
+// event throughput, the sync primitives on each executor, the fabric
 // transfer path, and the real computational kernels (LBM step, MD step,
 // moment/MSD analysis).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <thread>
 
 #include "apps/analysis/moments.hpp"
 #include "apps/analysis/msd.hpp"
@@ -16,7 +15,6 @@
 #include "core/exec/epoll.hpp"
 #include "core/exec/threaded.hpp"
 #include "core/exec/virtual_time.hpp"
-#include "core/rt/producer_buffer.hpp"
 #include "net/fabric.hpp"
 #include "sim/channel.hpp"
 #include "sim/latch.hpp"
@@ -238,19 +236,19 @@ BENCHMARK(BM_ExecChannelPingPongThreaded)
     ->UseRealTime();
 
 // The same shape once more on the EpollExecutor (core/exec/epoll), the
-// real-I/O loop behind zipperd. EpChannel transfers are pure scheduler
-// handoffs -- no fd is touched -- so this prices the epoll loop's ready-ring
-// and channel bookkeeping per park/wake against the DES kernel's, which is
+// real-I/O loop behind zipperd. The channel is sim::Channel itself on the
+// loop's wake hooks, and transfers are pure scheduler handoffs -- no fd is
+// touched -- so this prices the epoll loop's ready queue per park/wake
+// against the DES kernel's event queue for the same channel code, which is
 // the per-block overhead every daemon session pays between the socket and
 // the consumer coroutine. Guarded by tools/check_bench_regression.py via
 // its BENCH_sim.json entry.
 static void BM_EpollChannelPingPong(benchmark::State& state) {
   constexpr int kPairs = 64;
   constexpr int kRounds = 100;
-  using core::exec::EpChannel;
   using core::exec::EpollExecutor;
   struct Duo {
-    EpChannel<int> ping, pong;
+    sim::Channel<int, EpollExecutor> ping, pong;
     explicit Duo(EpollExecutor& e) : ping(e), pong(e) {}
   };
   for (auto _ : state) {
@@ -335,45 +333,6 @@ static void BM_FabricTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_FabricTransfer)->Arg(256)->Arg(4096);
-
-// ------------------------------------------------------- producer buffer ----
-
-static void BM_ProducerBufferPushPop(benchmark::State& state) {
-  core::rt::ProducerBuffer buf(
-      core::sched::SpillPolicy{{}, core::StealPolicy{1024, 0.5, false}});
-  auto block = std::make_shared<core::Block>();
-  block->payload.resize(1024);
-  for (auto _ : state) {
-    buf.push(block);
-    benchmark::DoNotOptimize(buf.pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProducerBufferPushPop);
-
-static void BM_ProducerBufferContended(benchmark::State& state) {
-  for (auto _ : state) {
-    core::rt::ProducerBuffer buf(
-        core::sched::SpillPolicy{{}, core::StealPolicy{64, 0.5, true}});
-    constexpr int kBlocks = 2000;
-    std::thread sender([&] {
-      for (int i = 0; i < kBlocks;) {
-        if (buf.pop()) ++i;
-      }
-    });
-    std::thread writer([&] {
-      while (buf.steal()) {
-      }
-    });
-    auto block = std::make_shared<core::Block>();
-    for (int i = 0; i < kBlocks * 2; ++i) buf.push(block);
-    buf.close();
-    sender.join();
-    writer.join();
-  }
-  state.SetItemsProcessed(state.iterations() * 4000);
-}
-BENCHMARK(BM_ProducerBufferContended);
 
 // -------------------------------------------------------------- kernels ----
 

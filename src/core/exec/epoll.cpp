@@ -4,6 +4,7 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>

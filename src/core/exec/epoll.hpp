@@ -16,22 +16,27 @@
 //   wait_readable(fd) / wait_writable(fd) — suspend until epoll readiness;
 //   resume with `false` after cancel_fd() (used for shutdown wake-ups).
 //
+// Sync primitives: the loop defines none of its own. It supplies the two wake
+// hooks the shared sim primitives call — schedule_node_now(SchedNode*) and
+// wake_all_now(WaitList&), both appending to the ready queue in FIFO order —
+// so sim::Channel, BasicMutex, BasicCondVar, BasicSemaphore and BasicLatch
+// instantiated on EpollExecutor are the very code the DES runs.
+//
 // Threading: the loop, every primitive, and every spawned coroutine run on
 // the thread that calls run(). Nothing here is thread-safe; cross-thread
 // wake-ups go through an eventfd watched with wait_readable() (a write() is
 // async-signal-safe, which is also how SIGTERM reaches the zipperd loop).
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
+#include "sim/channel.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -55,9 +60,15 @@ class EpollExecutor {
   /// happens on the next loop turn. Root exceptions rethrow out of run().
   void spawn(sim::Task t);
 
-  /// Resumes `h` on the next loop turn. The primitive layer's wake path;
-  /// must be called from the loop thread.
+  /// Resumes `h` on the next loop turn; must be called from the loop thread.
   void schedule(std::coroutine_handle<> h) { ready_.push_back(h); }
+
+  /// The shared primitives' wake hooks (sim/sync.hpp). The loop copies the
+  /// handle out, so the node is free as soon as the call returns.
+  void schedule_node_now(sim::SchedNode* n) { schedule(n->h); }
+  void wake_all_now(sim::WaitList& l) {
+    while (sim::SchedNode* n = l.pop_front()) schedule(n->h);
+  }
 
   struct SleepAwaiter {
     EpollExecutor* ex;
@@ -140,244 +151,8 @@ class EpollExecutor {
   std::vector<sim::Task::Handle> roots_;
 };
 
-// ---------------------------------------------------------- primitives ----
-// Suspending single-threaded analogs of the sim primitives: waiters park
-// their handles and the wake path goes through EpollExecutor::schedule().
-// No internal locking — everything runs on the loop thread.
-
-class EpMutex {
- public:
-  explicit EpMutex(EpollExecutor& ex) : ex_(&ex) {}
-  EpMutex(const EpMutex&) = delete;
-  EpMutex& operator=(const EpMutex&) = delete;
-
-  struct LockAwaiter {
-    EpMutex* m;
-    bool await_ready() {
-      if (!m->locked_) {
-        m->locked_ = true;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) { m->waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  /// co_await lock(); ownership transfers FIFO on unlock().
-  LockAwaiter lock() { return LockAwaiter{this}; }
-
-  bool try_lock() {
-    if (locked_) return false;
-    locked_ = true;
-    return true;
-  }
-
-  void unlock() {
-    assert(locked_ && "unlock of unlocked EpMutex");
-    if (!waiters_.empty()) {
-      // Ownership passes directly to the first waiter; locked_ stays true.
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      ex_->schedule(h);
-    } else {
-      locked_ = false;
-    }
-  }
-
-  bool locked() const noexcept { return locked_; }
-
- private:
-  EpollExecutor* ex_;
-  bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-class EpCondVar {
- public:
-  explicit EpCondVar(EpollExecutor& ex) : ex_(&ex) {}
-  EpCondVar(const EpCondVar&) = delete;
-  EpCondVar& operator=(const EpCondVar&) = delete;
-
-  /// Atomically releases `m`, parks, and re-acquires `m` before returning —
-  /// same Task-shaped wait as SimCondVar (callers run predicate loops).
-  sim::Task wait(EpMutex& m) {
-    m.unlock();
-    co_await Park{this};
-    co_await m.lock();
-  }
-
-  void notify_one() {
-    if (waiters_.empty()) return;
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    ex_->schedule(h);
-  }
-
-  void notify_all() {
-    while (!waiters_.empty()) notify_one();
-  }
-
- private:
-  struct Park {
-    EpCondVar* cv;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      cv->waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  EpollExecutor* ex_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-class EpLatch {
- public:
-  EpLatch(EpollExecutor& ex, std::int64_t count) : ex_(&ex), count_(count) {}
-  EpLatch(const EpLatch&) = delete;
-  EpLatch& operator=(const EpLatch&) = delete;
-
-  void count_down(std::int64_t n = 1) {
-    assert(count_ >= n && "latch underflow");
-    count_ -= n;
-    if (count_ == 0) {
-      while (!waiters_.empty()) {
-        ex_->schedule(waiters_.front());
-        waiters_.pop_front();
-      }
-    }
-  }
-
-  struct WaitAwaiter {
-    EpLatch* l;
-    bool await_ready() const noexcept { return l->count_ == 0; }
-    void await_suspend(std::coroutine_handle<> h) { l->waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-  WaitAwaiter wait() { return WaitAwaiter{this}; }
-
-  std::int64_t pending() const noexcept { return count_; }
-
- private:
-  EpollExecutor* ex_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Suspending channel with sim::Channel semantics on the epoll loop: bounded
-/// senders park on backpressure, receivers park when empty, close() wakes
-/// everyone (parked sends report failure), direct handoff to a parked
-/// receiver preserves FIFO among senders and receivers.
+/// The shared channel on this loop; kept as a name for perfbench's handoff rung.
 template <typename T>
-class EpChannel {
- public:
-  /// capacity == 0 means unbounded.
-  explicit EpChannel(EpollExecutor& ex, std::size_t capacity = 0)
-      : ex_(&ex), capacity_(capacity), buffer_(capacity) {}
-  EpChannel(const EpChannel&) = delete;
-  EpChannel& operator=(const EpChannel&) = delete;
-
-  struct RecvAwaiter {
-    EpChannel* ch;
-    std::optional<T> slot;
-    bool closed_signal = false;
-
-    bool await_ready() {
-      if (!ch->buffer_.empty()) {
-        slot = ch->buffer_.take_front();
-        ch->promote_waiting_sender();
-        return true;
-      }
-      if (ch->closed_) {
-        closed_signal = true;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      ch->recv_waiters_.push_back({this, h});
-    }
-    std::optional<T> await_resume() {
-      if (closed_signal) return std::nullopt;
-      return std::move(slot);
-    }
-  };
-
-  struct SendAwaiter {
-    EpChannel* ch;
-    T value;
-    bool delivered = true;
-
-    bool await_ready() {
-      assert(!ch->closed_ && "send on closed channel");
-      if (!ch->recv_waiters_.empty()) {
-        auto [r, h] = ch->recv_waiters_.front();
-        ch->recv_waiters_.pop_front();
-        r->slot = std::move(value);
-        ch->ex_->schedule(h);
-        return true;
-      }
-      if (ch->capacity_ == 0 || ch->buffer_.size() < ch->capacity_) {
-        ch->buffer_.push_back(std::move(value));
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      ch->send_waiters_.push_back({this, h});
-    }
-    /// True if delivered (or buffered); false if closed while parked.
-    bool await_resume() const noexcept { return delivered; }
-  };
-
-  SendAwaiter send(T value) { return SendAwaiter{this, std::move(value)}; }
-  RecvAwaiter recv() { return RecvAwaiter{this, std::nullopt}; }
-
-  std::optional<T> try_recv() {
-    if (buffer_.empty()) return std::nullopt;
-    T v = buffer_.take_front();
-    promote_waiting_sender();
-    return v;
-  }
-
-  void close() {
-    closed_ = true;
-    if (buffer_.empty()) {
-      while (!recv_waiters_.empty()) {
-        auto [r, h] = recv_waiters_.front();
-        recv_waiters_.pop_front();
-        r->closed_signal = true;
-        ex_->schedule(h);
-      }
-    }
-    while (!send_waiters_.empty()) {
-      auto [s, h] = send_waiters_.front();
-      send_waiters_.pop_front();
-      s->delivered = false;
-      ex_->schedule(h);
-    }
-  }
-
-  std::size_t size() const noexcept { return buffer_.size(); }
-  bool empty() const noexcept { return buffer_.empty(); }
-  bool closed() const noexcept { return closed_; }
-
- private:
-  void promote_waiting_sender() {
-    if (send_waiters_.empty()) return;
-    auto [s, h] = send_waiters_.front();
-    send_waiters_.pop_front();
-    buffer_.push_back(std::move(s->value));
-    ex_->schedule(h);
-  }
-
-  EpollExecutor* ex_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  common::RingBuffer<T> buffer_;
-  std::deque<std::pair<RecvAwaiter*, std::coroutine_handle<>>> recv_waiters_;
-  std::deque<std::pair<SendAwaiter*, std::coroutine_handle<>>> send_waiters_;
-};
+using EpChannel = sim::Channel<T, EpollExecutor>;
 
 }  // namespace zipper::core::exec

@@ -1,4 +1,4 @@
-// The unified execution layer: one awaitable contract, two executors.
+// The unified execution layer: one awaitable contract, three executors.
 //
 // The zipper application body (core/zipper/body.hpp) is written exactly once
 // against this contract and instantiated per executor *binding*:
@@ -8,6 +8,10 @@
 //     existing sim primitives, so the body expands to the same (time, seq)
 //     event sequence the pre-refactor SimZipper produced — the golden-digest
 //     byte-identity oracle pins this down.
+//   * EpollExecutor (epoll.hpp) is a single-threaded loop over real sockets
+//     and timers behind zipperd. Its sync primitives are the same sim
+//     templates (sim/{channel,sync,latch}.hpp) instantiated on the loop,
+//     which supplies their two wake hooks; awaitables genuinely suspend.
 //   * ThreadPoolExecutor (threaded.hpp) is a TaskProcessor-style worker pool
 //     with a monotonic clock and parking-lot wakeups. Its awaitables complete
 //     the blocking operation inside await_ready() and never suspend, so each
@@ -18,14 +22,14 @@
 //   B::Task                 coroutine task type (sim::Task works for both)
 //   B::Time                 clock type, ns (sim::Time for both)
 //   B::Ctx                  primitive-construction context (Simulation& /
-//                           ThreadPoolExecutor&)
+//                           EpollExecutor& / ThreadPoolExecutor&)
 //   B::Mutex / B::CondVar / B::Latch     awaitable sync primitives
 //   B::Channel<T>           bounded MPMC channel (awaitable send/recv)
 //   B::RawMutex             non-suspending lockable guarding plain shared
 //                           state (a no-op under virtual time, where one
 //                           event never interleaves with another)
 //   B::Payload              per-block payload (empty under virtual time,
-//                           shared_ptr<Block> under threads)
+//                           shared_ptr<Block> on threads and sockets)
 //   B::Span                 RAII trace span on the binding's clock
 //   B::Env                  the environment: spawn/now/sleep plus the
 //                           transport + file-system effect operations
@@ -39,7 +43,7 @@
 
 namespace zipper::core::exec {
 
-/// Per-endpoint counters shared by both executors. One struct for producers
+/// Per-endpoint counters shared by every executor. One struct for producers
 /// and consumers (each side leaves the other's fields at zero), so
 /// calibration and the timeline layer see identical fields either way —
 /// this removes the old rt-only `wait_ns` asymmetry.

@@ -12,7 +12,7 @@
 //     reader fetches degraded blocks from, so the resilience ladder's
 //     exactly-once guarantee holds across processes.
 //   * daemon role — the session demux decodes frames and deliver_mixed()s
-//     them into per-consumer EpChannels; recv_mixed is a channel recv. EOF
+//     them into per-consumer channels; recv_mixed is a channel recv. EOF
 //     or a frame error closes the queues and the body unwinds exactly like
 //     the threaded shutdown path.
 //
@@ -42,6 +42,9 @@
 #include "core/zipper/body.hpp"
 #include "core/zipper/net_frame.hpp"
 #include "core/zipper/rt_binding.hpp"  // rtdetail:: file helpers
+#include "sim/channel.hpp"
+#include "sim/latch.hpp"
+#include "sim/sync.hpp"
 
 namespace zipper::core::zbody {
 
@@ -71,13 +74,14 @@ struct NetBinding {
   using Task = sim::Task;
   using Time = sim::Time;
   using Ctx = exec::EpollExecutor;
-  using Mutex = exec::EpMutex;
-  using CondVar = exec::EpCondVar;
-  using Latch = exec::EpLatch;
+  /// The DES primitives, instantiated on the epoll loop.
+  using Mutex = sim::BasicMutex<exec::EpollExecutor>;
+  using CondVar = sim::BasicCondVar<exec::EpollExecutor>;
+  using Latch = sim::BasicLatch<exec::EpollExecutor>;
   /// Single loop thread + no co_await inside the guarded sections.
   using RawMutex = exec::NullMutex;
   template <typename T>
-  using Channel = exec::EpChannel<T>;
+  using Channel = sim::Channel<T, exec::EpollExecutor>;
   /// Real blocks carry their bytes across the wire.
   using Payload = std::shared_ptr<Block>;
   using Span = NetSpan;
@@ -105,7 +109,7 @@ class NetEnv {
       : ex_(&ex), cfg_(std::move(cfg)), wire_m_(ex) {
     nets_.reserve(static_cast<std::size_t>(num_consumers));
     for (int c = 0; c < num_consumers; ++c) {
-      nets_.push_back(std::make_unique<exec::EpChannel<MixedT>>(
+      nets_.push_back(std::make_unique<NetBinding::Channel<MixedT>>(
           ex, cfg_.net_channel_blocks));
     }
   }
@@ -283,7 +287,8 @@ class NetEnv {
     return static_cast<sim::Time>(cfg_.analysis_ns_per_block);
   }
 
-  sim::Task idle_recv(exec::EpChannel<ItemT>& buf, std::optional<ItemT>& out) {
+  sim::Task idle_recv(NetBinding::Channel<ItemT>& buf,
+                      std::optional<ItemT>& out) {
     out = buf.try_recv();
     if (!out) co_await sleep(kStealPoll);
   }
@@ -303,12 +308,12 @@ class NetEnv {
   exec::EpollExecutor* ex_;
   NetEnvConfig cfg_;
   sim::Time et0_ = ex_->now();
-  exec::EpMutex wire_m_;
+  NetBinding::Mutex wire_m_;
   int wire_fd_ = -1;
   std::string wire_error_;
   std::string io_error_;
   bool stopped_ = false;
-  std::vector<std::unique_ptr<exec::EpChannel<MixedT>>> nets_;
+  std::vector<std::unique_ptr<NetBinding::Channel<MixedT>>> nets_;
 };
 
 extern template class ZipperBody<NetBinding>;

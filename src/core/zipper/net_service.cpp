@@ -128,8 +128,8 @@ struct ZipperdServer::Session {
   std::shared_ptr<const chaos::ChaosEngine> chaos;
   std::unique_ptr<NetEnv> env;
   std::unique_ptr<ZipperBody<NetBinding>> body;
-  exec::EpLatch consumers_done;
-  exec::EpLatch demux_done;
+  NetBinding::Latch consumers_done;
+  NetBinding::Latch demux_done;
   /// send-timestamp per in-flight network block (latency at analyze time).
   std::map<BlockId, std::uint64_t> sent_ns;
   std::set<BlockId> seen;  // exactly-once: every analyzed id, once
@@ -226,7 +226,9 @@ sim::Task ZipperdServer::stop_watch_main() {
 }
 
 sim::Task ZipperdServer::acceptor_main() {
-  for (;;) {
+  // Re-checked after every wake-up, the back-off sleep included: a stop that
+  // lands while the acceptor is not parked on listen_fd_ cannot cancel it.
+  while (!stopping_) {
     const int cfd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (cfd >= 0) {
@@ -235,7 +237,7 @@ sim::Task ZipperdServer::acceptor_main() {
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!co_await ex_.wait_readable(listen_fd_) || stopping_) co_return;
+      if (!co_await ex_.wait_readable(listen_fd_)) co_return;
       continue;
     }
     if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -247,6 +249,13 @@ sim::Task ZipperdServer::acceptor_main() {
 }
 
 sim::Task ZipperdServer::session_main(int fd) {
+  if (stopping_) {
+    // Accepted in the loop turn the stop landed in, but queued behind
+    // stop_watch_main: its half-close missed this fd, so no hello or EOF
+    // would ever arrive to end the session.
+    ::close(fd);
+    co_return;
+  }
   active_fds_.push_back(fd);
   ++stats_.sessions_accepted;
 

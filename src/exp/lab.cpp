@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "exp/artifacts.hpp"
@@ -61,50 +60,6 @@ bool parse_jobs(const char* s, int* out) {
   }
   *out = static_cast<int>(v);
   return true;
-}
-
-int figure_main(const char* figure_name, int argc, char** argv) {
-  const FigureDef* fig = find_figure(figure_name);
-  if (!fig) {
-    std::fprintf(stderr, "unknown figure '%s'\n", figure_name);
-    return 1;
-  }
-  const auto usage = [&]() {
-    std::fprintf(stderr,
-                 "usage: %s [--full] [-j N] [--sim-threads N] "
-                 "[--artifacts[-dir=DIR]] [--progress]\n",
-                 argv[0]);
-    return 2;
-  };
-  LabOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--full") {
-      opts.full = true;
-    } else if (arg == "--artifacts") {
-      opts.write_artifacts = true;
-    } else if (arg.rfind("--artifacts-dir=", 0) == 0) {
-      opts.write_artifacts = true;
-      opts.artifacts_dir = arg.substr(std::strlen("--artifacts-dir="));
-    } else if (arg == "-j" && i + 1 < argc) {
-      if (!parse_jobs(argv[++i], &opts.jobs)) return usage();
-    } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-      if (!parse_jobs(arg.c_str() + 2, &opts.jobs)) return usage();
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      if (!parse_jobs(argv[++i], &opts.sim_threads)) return usage();
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      if (!parse_jobs(arg.c_str() + std::strlen("--sim-threads="),
-                      &opts.sim_threads))
-        return usage();
-    } else if (arg == "--progress") {
-      opts.progress = true;
-    } else {
-      return usage();
-    }
-  }
-  if (opts.jobs < 1) opts.jobs = 1;
-  if (opts.sim_threads < 1) opts.sim_threads = 1;
-  return run_figure(*fig, opts);
 }
 
 }  // namespace zipper::exp

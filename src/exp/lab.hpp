@@ -1,4 +1,4 @@
-// Shared driver behind the zipper_lab CLI and the thin bench/fig* stubs:
+// Shared driver behind the zipper_lab CLI (`zipper_lab run <fig>`):
 // expand a registered figure's scenarios, run them through the SweepEngine,
 // present the narrative tables, and optionally write CSV/JSON artifacts.
 #pragma once
@@ -28,11 +28,5 @@ int run_figure(const FigureDef& fig, const LabOptions& opts);
 /// Strict `-j` value parser shared by every lab CLI entry point: rejects
 /// trailing junk and out-of-range values instead of atoi's silent 0.
 bool parse_jobs(const char* s, int* out);
-
-/// Entry point for the thin bench/fig* drivers: parses --full, -j N,
-/// --artifacts[-dir=…] from argv and runs the named figure. Bench drivers
-/// default to no artifacts (matching the historical harnesses); zipper_lab
-/// layers its own defaults on top of run_figure directly.
-int figure_main(const char* figure_name, int argc, char** argv);
 
 }  // namespace zipper::exp

@@ -1,4 +1,9 @@
-// Simulated MPSC/MPMC channel with optional capacity bound.
+// Suspending MPSC/MPMC channel with optional capacity bound.
+//
+// A template over its scheduler, like the primitives in sync.hpp: the default
+// sim::Simulation is the DES channel, and core::exec::EpollExecutor runs the
+// same code on the real-I/O loop (exec::EpChannel<T>). The scheduler supplies
+// `schedule_node_now(SchedNode*)`, the only wake hook a channel calls.
 //
 // Semantics mirror a Go-style channel adapted to the discrete-event world:
 //   * `co_await ch.send(v)` — completes immediately if a receiver is parked
@@ -30,12 +35,12 @@
 
 namespace zipper::sim {
 
-template <typename T>
+template <typename T, typename Sched = Simulation>
 class Channel {
  public:
   /// capacity == 0 means unbounded.
-  explicit Channel(Simulation& sim, std::size_t capacity = 0)
-      : sim_(&sim), capacity_(capacity), buffer_(capacity) {}
+  explicit Channel(Sched& sched, std::size_t capacity = 0)
+      : sched_(&sched), capacity_(capacity), buffer_(capacity) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -79,7 +84,7 @@ class Channel {
       assert(!ch->closed_ && "send on closed channel");
       if (RecvAwaiter* r = ch->recv_waiters_.pop_front()) {
         r->slot = std::move(value);
-        ch->sim_->schedule_node_now(&r->node);
+        ch->sched_->schedule_node_now(&r->node);
         return true;
       }
       if (ch->capacity_ == 0 || ch->buffer_.size() < ch->capacity_) {
@@ -105,7 +110,7 @@ class Channel {
     assert(!closed_ && "send on closed channel");
     if (RecvAwaiter* r = recv_waiters_.pop_front()) {
       r->slot = std::move(value);
-      sim_->schedule_node_now(&r->node);
+      sched_->schedule_node_now(&r->node);
       return true;
     }
     if (capacity_ == 0 || buffer_.size() < capacity_) {
@@ -139,12 +144,12 @@ class Channel {
     if (buffer_.empty()) {
       while (RecvAwaiter* r = recv_waiters_.pop_front()) {
         r->closed_signal = true;
-        sim_->schedule_node_now(&r->node);
+        sched_->schedule_node_now(&r->node);
       }
     }
     while (SendAwaiter* s = send_waiters_.pop_front()) {
       s->delivered = false;
-      sim_->schedule_node_now(&s->node);
+      sched_->schedule_node_now(&s->node);
     }
   }
 
@@ -159,11 +164,11 @@ class Channel {
   void promote_waiting_sender() {
     if (SendAwaiter* s = send_waiters_.pop_front()) {
       buffer_.push_back(std::move(s->value));
-      sim_->schedule_node_now(&s->node);
+      sched_->schedule_node_now(&s->node);
     }
   }
 
-  Simulation* sim_;
+  Sched* sched_;
   std::size_t capacity_;
   bool closed_ = false;
   common::RingBuffer<T> buffer_;

@@ -1,8 +1,10 @@
 // Completion latch + structured concurrency helper for simulated tasks.
 //
-// `Latch` counts down to zero and wakes all waiters; `when_all` runs a batch
-// of Tasks concurrently (as detached processes) and resumes its awaiter when
-// every one has finished — the building block for MPI_Waitall-style semantics.
+// `BasicLatch` counts down to zero and wakes all waiters; like the primitives
+// in sync.hpp it is a template over its scheduler (`Latch` is the DES
+// instantiation). `when_all` runs a batch of Tasks concurrently (as detached
+// processes) and resumes its awaiter when every one has finished — the
+// building block for MPI_Waitall-style semantics.
 #pragma once
 
 #include <cassert>
@@ -16,22 +18,23 @@
 
 namespace zipper::sim {
 
-class Latch {
+template <typename Sched = Simulation>
+class BasicLatch {
  public:
-  Latch(Simulation& sim, std::int64_t count) : sim_(&sim), count_(count) {}
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
+  BasicLatch(Sched& sched, std::int64_t count) : sched_(&sched), count_(count) {}
+  BasicLatch(const BasicLatch&) = delete;
+  BasicLatch& operator=(const BasicLatch&) = delete;
 
   void count_down(std::int64_t n = 1) {
     assert(count_ >= n && "latch underflow");
     count_ -= n;
-    // Waking everyone is a single O(1) splice of the intrusive waiter list
-    // into the current event bucket, regardless of waiter count.
-    if (count_ == 0) sim_->wake_all_now(waiters_);
+    // Under the DES, waking everyone is a single O(1) splice of the
+    // intrusive waiter list into the current event bucket.
+    if (count_ == 0) sched_->wake_all_now(waiters_);
   }
 
   struct WaitAwaiter {
-    Latch* l;
+    BasicLatch* l;
     SchedNode node{};
     bool await_ready() const noexcept { return l->count_ == 0; }
     void await_suspend(std::coroutine_handle<> h) {
@@ -45,10 +48,12 @@ class Latch {
   std::int64_t pending() const noexcept { return count_; }
 
  private:
-  Simulation* sim_;
+  Sched* sched_;
   std::int64_t count_;
   WaitList waiters_;
 };
+
+using Latch = BasicLatch<Simulation>;
 
 namespace detail {
 inline Task run_and_count_down(Task t, Latch& latch) {

@@ -1,10 +1,16 @@
-// Simulated synchronization primitives: FIFO mutex, condition variable, and
+// Suspending synchronization primitives: FIFO mutex, condition variable, and
 // counting semaphore. All are single-"OS-thread" objects living inside one
-// Simulation; fairness is strict FIFO to keep runs deterministic.
+// scheduler; fairness is strict FIFO to keep runs deterministic.
+//
+// Each primitive is a template over its scheduler `Sched`, which supplies the
+// two wake hooks the primitives call: `schedule_node_now(SchedNode*)` and
+// `wake_all_now(WaitList&)`. The default, sim::Simulation, keeps the DES
+// spellings (SimMutex, SimCondVar, SimSemaphore); core::exec::EpollExecutor
+// instantiates the same code on the real-I/O loop.
 //
 // Waiters are intrusive SchedNodes embedded in the awaiter frames (see
-// event_queue.hpp): parking and waking never allocate, and notify_all splices
-// the whole waiter list into the event queue in O(1).
+// event_queue.hpp): parking and waking never allocate, and under the DES
+// notify_all splices the whole waiter list into the event queue in O(1).
 #pragma once
 
 #include <cassert>
@@ -16,14 +22,15 @@
 
 namespace zipper::sim {
 
-class SimMutex {
+template <typename Sched = Simulation>
+class BasicMutex {
  public:
-  explicit SimMutex(Simulation& sim) : sim_(&sim) {}
-  SimMutex(const SimMutex&) = delete;
-  SimMutex& operator=(const SimMutex&) = delete;
+  explicit BasicMutex(Sched& sched) : sched_(&sched) {}
+  BasicMutex(const BasicMutex&) = delete;
+  BasicMutex& operator=(const BasicMutex&) = delete;
 
   struct LockAwaiter {
-    SimMutex* m;
+    BasicMutex* m;
     SchedNode node{};
     bool await_ready() {
       if (!m->locked_) {
@@ -49,10 +56,10 @@ class SimMutex {
   }
 
   void unlock() {
-    assert(locked_ && "unlock of unlocked SimMutex");
+    assert(locked_ && "unlock of unlocked mutex");
     if (SchedNode* n = waiters_.pop_front()) {
       // Ownership passes directly to the first waiter; locked_ stays true.
-      sim_->schedule_node_now(n);
+      sched_->schedule_node_now(n);
     } else {
       locked_ = false;
     }
@@ -61,53 +68,38 @@ class SimMutex {
   bool locked() const noexcept { return locked_; }
 
  private:
-  friend class SimCondVar;
-  Simulation* sim_;
+  Sched* sched_;
   bool locked_ = false;
   WaitList waiters_;
 };
 
-/// RAII guard usable inside coroutines:  auto g = co_await ScopedSimLock::acquire(m);
-class ScopedSimLock {
+template <typename Sched = Simulation>
+class BasicCondVar {
  public:
-  explicit ScopedSimLock(SimMutex& m) noexcept : m_(&m) {}
-  ScopedSimLock(ScopedSimLock&& o) noexcept : m_(o.m_) { o.m_ = nullptr; }
-  ScopedSimLock(const ScopedSimLock&) = delete;
-  ScopedSimLock& operator=(const ScopedSimLock&) = delete;
-  ~ScopedSimLock() {
-    if (m_) m_->unlock();
-  }
-
- private:
-  SimMutex* m_;
-};
-
-class SimCondVar {
- public:
-  explicit SimCondVar(Simulation& sim) : sim_(&sim) {}
-  SimCondVar(const SimCondVar&) = delete;
-  SimCondVar& operator=(const SimCondVar&) = delete;
+  explicit BasicCondVar(Sched& sched) : sched_(&sched) {}
+  BasicCondVar(const BasicCondVar&) = delete;
+  BasicCondVar& operator=(const BasicCondVar&) = delete;
 
   /// Atomically releases `m`, parks, and re-acquires `m` before returning.
   /// Standard predicate-loop usage:
   ///   while (!pred()) co_await cv.wait(m);
-  Task wait(SimMutex& m) {
+  Task wait(BasicMutex<Sched>& m) {
     m.unlock();
     co_await Park{this};
     co_await m.lock();
   }
 
   void notify_one() {
-    if (SchedNode* n = waiters_.pop_front()) sim_->schedule_node_now(n);
+    if (SchedNode* n = waiters_.pop_front()) sched_->schedule_node_now(n);
   }
 
-  void notify_all() { sim_->wake_all_now(waiters_); }
+  void notify_all() { sched_->wake_all_now(waiters_); }
 
   std::size_t waiter_count() const noexcept { return waiters_.size(); }
 
  private:
   struct Park {
-    SimCondVar* cv;
+    BasicCondVar* cv;
     SchedNode node{};
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
@@ -117,18 +109,20 @@ class SimCondVar {
     void await_resume() const noexcept {}
   };
 
-  Simulation* sim_;
+  Sched* sched_;
   WaitList waiters_;
 };
 
-class SimSemaphore {
+template <typename Sched = Simulation>
+class BasicSemaphore {
  public:
-  SimSemaphore(Simulation& sim, std::int64_t initial) : sim_(&sim), count_(initial) {}
-  SimSemaphore(const SimSemaphore&) = delete;
-  SimSemaphore& operator=(const SimSemaphore&) = delete;
+  BasicSemaphore(Sched& sched, std::int64_t initial)
+      : sched_(&sched), count_(initial) {}
+  BasicSemaphore(const BasicSemaphore&) = delete;
+  BasicSemaphore& operator=(const BasicSemaphore&) = delete;
 
   struct AcquireAwaiter {
-    SimSemaphore* s;
+    BasicSemaphore* s;
     SchedNode node{};
     bool await_ready() {
       if (s->count_ > 0) {
@@ -150,16 +144,20 @@ class SimSemaphore {
     count_ += n;
     while (count_ > 0 && !waiters_.empty()) {
       --count_;
-      sim_->schedule_node_now(waiters_.pop_front());
+      sched_->schedule_node_now(waiters_.pop_front());
     }
   }
 
   std::int64_t available() const noexcept { return count_; }
 
  private:
-  Simulation* sim_;
+  Sched* sched_;
   std::int64_t count_;
   WaitList waiters_;
 };
+
+using SimMutex = BasicMutex<Simulation>;
+using SimCondVar = BasicCondVar<Simulation>;
+using SimSemaphore = BasicSemaphore<Simulation>;
 
 }  // namespace zipper::sim

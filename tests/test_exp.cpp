@@ -434,20 +434,6 @@ TEST(Parsing, JobsRejectsTrailingJunkAndGarbage) {
   EXPECT_FALSE(parse_jobs("4294967298", &jobs));
 }
 
-TEST(Parsing, FigureMainRejectsMalformedJobsFlag) {
-  // "-jfoo" used to atoi to 0 and silently clamp to 1; now it is a usage
-  // error (exit code 2) before any scenario runs.
-  char prog[] = "fig11_pipeline_model";
-  char bad_joined[] = "-jfoo";
-  char* argv1[] = {prog, bad_joined};
-  EXPECT_EQ(figure_main("fig11", 2, argv1), 2);
-
-  char jflag[] = "-j";
-  char bad_split[] = "2x";
-  char* argv2[] = {prog, jflag, bad_split};
-  EXPECT_EQ(figure_main("fig11", 3, argv2), 2);
-}
-
 // ---------------------------------------------------------------- analyze --
 
 TEST(Analyze, ObserveRequiresTracedZipperWorkflow) {

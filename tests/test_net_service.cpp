@@ -11,8 +11,10 @@
 // Plus the frame-codec edge cases (truncated header, oversized length,
 // byte-by-byte split reads, checksum corruption), the chaos ladder against a
 // live daemon (fault window -> retry/backoff -> degrade to the shared spill
-// directory), peer resets mid-block, and the EpollExecutor primitive
-// contract (timer ordering, channel backpressure, deadlock detection).
+// directory), peer resets mid-block, shutdown races forced through the loop,
+// and the EpollExecutor's own contract (timer ordering, deadlock detection;
+// the sync primitives it shares with the DES are tested on both schedulers
+// in test_sim.cpp).
 //
 // Flake-proofing contract for CI: every server here binds port 0 and the
 // client reads the kernel-assigned port back from the server object — no
@@ -20,6 +22,8 @@
 // returns).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -180,23 +184,39 @@ NetOutcome run_net(const NetCase& tc) {
   return out;
 }
 
-// A raw client for malformed-wire tests: connect (blocking socket), send
-// exactly `bytes`, then hard-close.
-void raw_send_and_close(std::uint16_t port, const std::vector<std::byte>& bytes,
-                        bool rst) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+// A blocking loopback connection to `port`; -1 on failure. The listener's
+// kernel backlog completes the handshake, so this returns before (and
+// whether or not) the daemon accepts.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  ASSERT_EQ(0, ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void send_all(int fd, const std::vector<std::byte>& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
     ASSERT_GT(n, 0);
     off += static_cast<std::size_t>(n);
   }
+}
+
+// A raw client for malformed-wire tests: connect (blocking socket), send
+// exactly `bytes`, then hard-close.
+void raw_send_and_close(std::uint16_t port, const std::vector<std::byte>& bytes,
+                        bool rst) {
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  send_all(fd, bytes);
   if (rst) {
     // SO_LINGER 0: close sends RST instead of FIN — a peer reset mid-block.
     linger lg{1, 0};
@@ -204,6 +224,28 @@ void raw_send_and_close(std::uint16_t port, const std::vector<std::byte>& bytes,
   }
   ::close(fd);
 }
+
+// Caps RLIMIT_NOFILE at the lowest free descriptor for its lifetime, so every
+// new fd — accept4() included — fails with EMFILE.
+class FdTableFull {
+ public:
+  FdTableFull() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    const int lowest_free = ::eventfd(0, EFD_CLOEXEC);
+    ::close(lowest_free);
+    rlimit capped = saved_;
+    capped.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ok_ = lowest_free >= 0 && ::setrlimit(RLIMIT_NOFILE, &capped) == 0;
+  }
+  ~FdTableFull() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  FdTableFull(const FdTableFull&) = delete;
+  FdTableFull& operator=(const FdTableFull&) = delete;
+  bool ok() const noexcept { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
 
 znet::SessionSpec small_spec(std::uint64_t id, const fs::path& spill) {
   znet::SessionSpec spec;
@@ -406,53 +448,9 @@ TEST(EpollExecutor, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EpollExecutor, ChannelBackpressuresAndCloseWakes) {
-  exec::EpollExecutor ex;
-  exec::EpChannel<int> ch(ex, 1);
-  std::vector<int> got;
-  bool second_send_parked = false;
-  auto producer = [&]() -> sim::Task {
-    co_await ch.send(1);
-    second_send_parked = true;  // runs before the parked send resumes
-    co_await ch.send(2);        // parks: capacity 1, no receiver yet
-    second_send_parked = false;
-    ch.close();
-  };
-  auto consumer = [&]() -> sim::Task {
-    co_await ex.sleep_until(ex.now() + sim::kMillisecond);
-    EXPECT_TRUE(second_send_parked);
-    while (auto v = co_await ch.recv()) got.push_back(*v);
-  };
-  ex.spawn(producer());
-  ex.spawn(consumer());
-  ex.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
-}
-
-TEST(EpollExecutor, LatchReleasesAllWaiters) {
-  exec::EpollExecutor ex;
-  exec::EpLatch latch(ex, 2);
-  int released = 0;
-  auto waiter = [&]() -> sim::Task {
-    co_await latch.wait();
-    ++released;
-  };
-  auto counter = [&]() -> sim::Task {
-    co_await ex.yield();
-    latch.count_down();
-    co_await ex.yield();
-    latch.count_down();
-  };
-  ex.spawn(waiter());
-  ex.spawn(waiter());
-  ex.spawn(counter());
-  ex.run();
-  EXPECT_EQ(released, 2);
-}
-
 TEST(EpollExecutor, DeadlockedLoopThrowsInsteadOfHanging) {
   exec::EpollExecutor ex;
-  exec::EpChannel<int> ch(ex);
+  sim::Channel<int, exec::EpollExecutor> ch(ex);
   auto stuck = [&]() -> sim::Task {
     (void)co_await ch.recv();  // nothing will ever send or close
   };
@@ -590,16 +588,75 @@ TEST(NetService, StopDrainsIdleConnectionsPromptly) {
   znet::ZipperdServer server(znet::ServerOptions{});
   std::thread daemon([&server] { server.run(); });
   // An idle connection that never sends a hello must not wedge shutdown.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(0,
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
   server.request_stop();
   daemon.join();  // hangs here (until the CI timeout) if drain is broken
   ::close(fd);
   SUCCEED();
+}
+
+// The two shutdown races below are forced on the daemon's own loop, with no
+// threads and no sleeps: each test calls run() on the test thread and fails
+// by hanging (until the suite's ctest timeout) if the daemon loses the stop.
+
+TEST(NetService, StopInTheAcceptBatchClosesTheLateSession) {
+  // A session whose hello and only block already sit in the socket buffer
+  // when the loop starts. Analyzing that block runs a callback on the loop:
+  // it connects a second, silent client and then requests stop, so the
+  // listener and the stop eventfd turn readable in one epoll batch, listener
+  // first. The acceptor then spawns the late session behind the stop
+  // watcher, whose half-close of the active sessions misses it; the late
+  // session must close its socket instead of waiting for a hello forever.
+  znet::ZipperdServer* srv = nullptr;
+  int late_fd = -1;
+  znet::ServerOptions so;
+  so.on_analyzed = [&](std::uint64_t, int, const BlockHeader&) {
+    if (late_fd >= 0) return;
+    late_fd = connect_loopback(srv->port());
+    srv->request_stop();
+  };
+  znet::ZipperdServer server(std::move(so));
+  srv = &server;
+
+  znet::SessionSpec spec = small_spec(5, "/tmp/zipper_race_spill");
+  spec.producers = 1;
+  spec.consumers = 1;
+  spec.steps = 1;
+  spec.step_bytes = spec.block_bytes;
+  znet::WireMixed m;
+  m.has_block = true;
+  m.block.id = BlockId{0, 0, 0};
+  m.block.bytes = spec.block_bytes;
+  m.payload.assign(spec.block_bytes, std::byte{0x33});
+  std::vector<std::byte> bytes = znet::encode_hello(spec);
+  const auto mixed = znet::encode_mixed(m);
+  bytes.insert(bytes.end(), mixed.begin(), mixed.end());
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  send_all(fd, bytes);
+
+  server.run();  // returns only if the late session let go of its socket
+  EXPECT_GE(late_fd, 0);
+  EXPECT_EQ(server.stats().blocks_analyzed, 1u);
+  EXPECT_EQ(server.stats().sessions_accepted, 1u)
+      << "a connection accepted after the stop is closed, not served";
+  ::close(fd);
+  if (late_fd >= 0) ::close(late_fd);
+}
+
+TEST(NetService, StopDuringAcceptBackoffEndsTheAcceptor) {
+  // With the descriptor table full, accept4() fails with EMFILE and the
+  // acceptor backs off on a timer instead of parking on the listener, so the
+  // stop watcher's cancel of the listener cannot reach it. The stop is
+  // pending before the loop starts and lands during the first back-off; the
+  // acceptor must see it when the timer fires rather than retry forever.
+  znet::ZipperdServer server(znet::ServerOptions{});
+  server.request_stop();
+  {
+    FdTableFull full;
+    ASSERT_TRUE(full.ok());
+    server.run();
+  }
+  EXPECT_EQ(server.stats().sessions_accepted, 0u);
 }

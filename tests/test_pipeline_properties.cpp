@@ -16,9 +16,12 @@
 //     it (the golden harness pins the same property in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -387,19 +390,42 @@ TEST(PipelineDifferential, TrivialChainIsByteIdenticalAcrossAllFigures) {
   // and without it. Scenarios that already carry a real pipeline (the hybrid
   // figures) are excluded — overwriting their graph would change the
   // experiment, not test the lowering.
+  //
+  // Every figure's original and lowered specs go through one parallel sweep;
+  // run_sweep's results are byte-identical at any -j, so only wall time
+  // changes. Each figure is then compared on its own slice.
+  struct Slice {
+    std::string figure;
+    std::size_t first = 0;  // original specs at [first, first + n),
+    std::size_t n = 0;      // lowered specs at [first + n, first + 2n)
+  };
+  std::vector<Slice> slices;
+  std::vector<exp::ScenarioSpec> all;
   for (const auto& fig : exp::registry()) {
     std::vector<exp::ScenarioSpec> specs;
     for (auto& s : fig.scenarios(false)) {
       if (!s.pipeline.enabled) specs.push_back(std::move(s));
     }
     if (specs.empty()) continue;
-    auto lowered = specs;
-    for (auto& s : lowered) s.pipeline = make_chain(1);
+    slices.push_back({fig.name, all.size(), specs.size()});
+    all.insert(all.end(), specs.begin(), specs.end());
+    for (auto& s : specs) {
+      s.pipeline = make_chain(1);
+      all.push_back(std::move(s));
+    }
+  }
 
-    exp::SweepOptions so;
-    const auto a = exp::run_sweep(specs, so);
-    const auto b = exp::run_sweep(lowered, so);
-    EXPECT_EQ(exp::to_csv(a), exp::to_csv(b)) << fig.name;
-    EXPECT_EQ(exp::to_json(a), exp::to_json(b)) << fig.name;
+  exp::SweepOptions so;
+  so.jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const auto res = exp::run_sweep(all, so);
+  ASSERT_EQ(res.size(), all.size());
+  for (const Slice& sl : slices) {
+    const auto at = [&](std::size_t off) {
+      return res.begin() + static_cast<std::ptrdiff_t>(sl.first + off);
+    };
+    const std::vector<exp::ScenarioResult> a(at(0), at(sl.n));
+    const std::vector<exp::ScenarioResult> b(at(sl.n), at(2 * sl.n));
+    EXPECT_EQ(exp::to_csv(a), exp::to_csv(b)) << sl.figure;
+    EXPECT_EQ(exp::to_json(a), exp::to_json(b)) << sl.figure;
   }
 }

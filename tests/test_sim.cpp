@@ -1,13 +1,19 @@
 // Unit tests for the discrete-event engine: event ordering, coroutine task
-// composition, channels, synchronization primitives, bandwidth resources, and
-// determinism of the whole kernel.
+// composition, channels and synchronization primitives (on both the DES and
+// the epoll loop), bandwidth resources, and determinism of the whole kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/exec/epoll.hpp"
 #include "sim/channel.hpp"
+#include "sim/latch.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
@@ -15,6 +21,7 @@
 #include "sim/time.hpp"
 
 using namespace zipper::sim;
+using zipper::core::exec::EpollExecutor;
 
 namespace {
 
@@ -180,127 +187,238 @@ TEST(Simulation, ManyProcessesDeterministicEventCount) {
   EXPECT_EQ(l1, l2);
 }
 
+// ------------------------------------- primitives on both schedulers ------
+// Channel, mutex, condvar, semaphore and latch are one implementation,
+// templated over the scheduler that wakes their waiters. Every case below
+// runs on the DES and on the epoll loop. Wake order must agree exactly;
+// elapsed time is exact on the DES and only a lower bound on the wall clock.
+
+namespace {
+
+template <typename S>
+struct Loop;
+
+template <>
+struct Loop<Simulation> {
+  static auto pause(Simulation& s, Time d) { return s.delay(d); }
+  static void expect_elapsed(Time dt, Time want) { EXPECT_EQ(dt, want); }
+};
+
+template <>
+struct Loop<EpollExecutor> {
+  // A timer that parks even when its deadline has already passed, so the
+  // pause resumes only after every ready coroutine ran — what delay(d) does
+  // on the DES — however slowly the wall clock is read.
+  struct Pause {
+    EpollExecutor::SleepAwaiter timer;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { timer.await_suspend(h); }
+    void await_resume() const noexcept {}
+  };
+  static Pause pause(EpollExecutor& ex, Time d) {
+    return Pause{ex.sleep_until(ex.now() + d)};
+  }
+  static void expect_elapsed(Time dt, Time want) { EXPECT_GE(dt, want); }
+};
+
+template <typename S>
+auto pause(S& s, Time d) {
+  return Loop<S>::pause(s, d);
+}
+
+template <typename S>
+using Chan = Channel<int, S>;
+
+template <typename S>
+class Primitives : public ::testing::Test {
+ protected:
+  // Runs to completion. The epoll loop throws if a coroutine is left parked
+  // with nothing to wake it; the DES reports it as an unfinished process.
+  void run() {
+    s.run();
+    if constexpr (std::is_same_v<S, Simulation>) {
+      EXPECT_EQ(s.unfinished_processes(), 0u);
+    }
+  }
+  void expect_elapsed(Time t, Time want) {
+    Loop<S>::expect_elapsed(t - t0, want);
+  }
+
+  S s;
+  const Time t0 = s.now();
+};
+
+struct SchedulerNames {
+  template <typename S>
+  static std::string GetName(int) {
+    return std::is_same_v<S, Simulation> ? "Simulation" : "EpollExecutor";
+  }
+};
+using Schedulers = ::testing::Types<Simulation, EpollExecutor>;
+
+template <typename S>
+class ChannelTest : public Primitives<S> {};
+template <typename S>
+class MutexTest : public Primitives<S> {};
+template <typename S>
+class CondVarTest : public Primitives<S> {};
+template <typename S>
+class SemaphoreTest : public Primitives<S> {};
+template <typename S>
+class LatchTest : public Primitives<S> {};
+
+}  // namespace
+
+TYPED_TEST_SUITE(ChannelTest, Schedulers, SchedulerNames);
+TYPED_TEST_SUITE(MutexTest, Schedulers, SchedulerNames);
+TYPED_TEST_SUITE(CondVarTest, Schedulers, SchedulerNames);
+TYPED_TEST_SUITE(SemaphoreTest, Schedulers, SchedulerNames);
+TYPED_TEST_SUITE(LatchTest, Schedulers, SchedulerNames);
+
 // ---------------------------------------------------------------- Channel --
 
-TEST(Channel, SendThenRecv) {
-  Simulation sim;
-  Channel<int> ch(sim);
+TYPED_TEST(ChannelTest, SendThenRecv) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   std::optional<int> got;
-  sim.spawn([](Channel<int>& c) -> Task { co_await c.send(42); }(ch));
-  sim.spawn([](Channel<int>& c, std::optional<int>& g) -> Task {
+  s.spawn([](Chan<TypeParam>& c) -> Task { co_await c.send(42); }(ch));
+  s.spawn([](Chan<TypeParam>& c, std::optional<int>& g) -> Task {
     g = co_await c.recv();
   }(ch, got));
-  sim.run();
+  this->run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 42);
 }
 
-TEST(Channel, RecvBeforeSendParksReceiver) {
-  Simulation sim;
-  Channel<int> ch(sim);
+TYPED_TEST(ChannelTest, RecvBeforeSendParksReceiver) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   std::vector<int> got;
-  sim.spawn([](Simulation& s, Channel<int>& c, std::vector<int>& g) -> Task {
+  Time got_at = -1;
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c, std::vector<int>& g,
+             Time& at) -> Task {
     auto v = co_await c.recv();
     g.push_back(*v);
-    (void)s;
-  }(sim, ch, got));
-  sim.spawn([](Simulation& s, Channel<int>& c) -> Task {
-    co_await s.delay(100);
+    at = sc.now();
+  }(s, ch, got, got_at));
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c) -> Task {
+    co_await pause(sc, 100);
     co_await c.send(7);
-  }(sim, ch));
-  sim.run();
+  }(s, ch));
+  this->run();
   EXPECT_EQ(got, (std::vector<int>{7}));
-  EXPECT_EQ(sim.now(), 100);
+  this->expect_elapsed(got_at, 100);
 }
 
-TEST(Channel, FifoAmongValues) {
-  Simulation sim;
-  Channel<int> ch(sim);
+TYPED_TEST(ChannelTest, FifoAmongValues) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   std::vector<int> got;
-  sim.spawn([](Channel<int>& c) -> Task {
+  s.spawn([](Chan<TypeParam>& c) -> Task {
     for (int i = 0; i < 10; ++i) co_await c.send(i);
   }(ch));
-  sim.spawn([](Channel<int>& c, std::vector<int>& g) -> Task {
+  s.spawn([](Chan<TypeParam>& c, std::vector<int>& g) -> Task {
     for (int i = 0; i < 10; ++i) g.push_back(*co_await c.recv());
   }(ch, got));
-  sim.run();
+  this->run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(Channel, BoundedAppliesBackpressure) {
-  Simulation sim;
-  Channel<int> ch(sim, 2);
+TYPED_TEST(ChannelTest, BoundedAppliesBackpressure) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s, 2);
   Time third_send_done = -1;
-  sim.spawn([](Simulation& s, Channel<int>& c, Time& t3) -> Task {
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c, Time& t3) -> Task {
     co_await c.send(1);
     co_await c.send(2);
     co_await c.send(3);  // must wait until receiver drains one
-    t3 = s.now();
-  }(sim, ch, third_send_done));
-  sim.spawn([](Simulation& s, Channel<int>& c) -> Task {
-    co_await s.delay(500);
+    t3 = sc.now();
+  }(s, ch, third_send_done));
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c) -> Task {
+    co_await pause(sc, 500);
+    EXPECT_EQ(c.size(), 2u);
     co_await c.recv();
     co_await c.recv();
     co_await c.recv();
-  }(sim, ch));
-  sim.run();
-  EXPECT_EQ(third_send_done, 500);
+  }(s, ch));
+  this->run();
+  this->expect_elapsed(third_send_done, 500);
 }
 
-TEST(Channel, DirectHandoffCannotBeStolen) {
+TYPED_TEST(ChannelTest, DirectHandoffCannotBeStolen) {
   // A receiver parked first must get the value even if another recv arrives
-  // at the same timestamp.
-  Simulation sim;
-  Channel<int> ch(sim);
+  // in the same scheduler turn.
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   std::vector<std::pair<int, int>> got;  // (receiver id, value)
-  auto rx = [](Channel<int>& c, std::vector<std::pair<int, int>>& g, int id) -> Task {
+  auto rx = [](Chan<TypeParam>& c, std::vector<std::pair<int, int>>& g,
+               int id) -> Task {
     auto v = co_await c.recv();
     g.emplace_back(id, *v);
   };
-  sim.spawn(rx(ch, got, 1));
-  sim.spawn([](Simulation& s, Channel<int>& c, auto mk,
-               std::vector<std::pair<int, int>>& g) -> Task {
-    co_await s.delay(10);
+  s.spawn(rx(ch, got, 1));
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c, auto mk,
+             std::vector<std::pair<int, int>>& g) -> Task {
+    co_await pause(sc, 10);
     co_await c.send(100);
     // spawn a competing receiver at the same instant
-    s.spawn(mk(c, g, 2));
+    sc.spawn(mk(c, g, 2));
     co_await c.send(200);
-  }(sim, ch, rx, got));
-  sim.run();
+  }(s, ch, rx, got));
+  this->run();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (std::pair{1, 100}));
   EXPECT_EQ(got[1], (std::pair{2, 200}));
 }
 
-TEST(Channel, CloseWakesParkedReceiversWithNullopt) {
-  Simulation sim;
-  Channel<int> ch(sim);
+TYPED_TEST(ChannelTest, CloseWakesParkedReceiversWithNullopt) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   int nullopts = 0;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn([](Channel<int>& c, int& n) -> Task {
+    s.spawn([](Chan<TypeParam>& c, int& n) -> Task {
       auto v = co_await c.recv();
       if (!v) ++n;
     }(ch, nullopts));
   }
-  sim.spawn([](Simulation& s, Channel<int>& c) -> Task {
-    co_await s.delay(5);
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c) -> Task {
+    co_await pause(sc, 5);
     c.close();
-  }(sim, ch));
-  sim.run();
+  }(s, ch));
+  this->run();
   EXPECT_EQ(nullopts, 3);
 }
 
-TEST(Channel, CloseDrainsBufferedValuesFirst) {
-  Simulation sim;
-  Channel<int> ch(sim);
+TYPED_TEST(ChannelTest, CloseFailsParkedSenders) {
+  // A bounded channel closed while full must not strand its producers: the
+  // parked send resumes and reports that its value was dropped.
+  auto& s = this->s;
+  Chan<TypeParam> ch(s, 1);
+  std::vector<bool> delivered;
+  s.spawn([](Chan<TypeParam>& c, std::vector<bool>& d) -> Task {
+    d.push_back(co_await c.send(1));
+    d.push_back(co_await c.send(2));  // parks: full, nobody receiving
+  }(ch, delivered));
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c) -> Task {
+    co_await pause(sc, 5);
+    c.close();
+  }(s, ch));
+  this->run();
+  EXPECT_EQ(delivered, (std::vector<bool>{true, false}));
+  EXPECT_EQ(ch.try_recv(), std::optional<int>(1));  // buffered value survives
+}
+
+TYPED_TEST(ChannelTest, CloseDrainsBufferedValuesFirst) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s);
   std::vector<int> got;
   bool saw_close = false;
-  sim.spawn([](Channel<int>& c) -> Task {
+  s.spawn([](Chan<TypeParam>& c) -> Task {
     co_await c.send(1);
     co_await c.send(2);
     c.close();
   }(ch));
-  sim.spawn([](Channel<int>& c, std::vector<int>& g, bool& sc) -> Task {
+  s.spawn([](Chan<TypeParam>& c, std::vector<int>& g, bool& sc) -> Task {
     while (true) {
       auto v = co_await c.recv();
       if (!v) {
@@ -310,42 +428,41 @@ TEST(Channel, CloseDrainsBufferedValuesFirst) {
       g.push_back(*v);
     }
   }(ch, got, saw_close));
-  sim.run();
+  this->run();
   EXPECT_EQ(got, (std::vector<int>{1, 2}));
   EXPECT_TRUE(saw_close);
 }
 
-TEST(Channel, TrySendRespectsCapacity) {
-  Simulation sim;
-  Channel<int> ch(sim, 1);
+TYPED_TEST(ChannelTest, TrySendRespectsCapacity) {
+  Chan<TypeParam> ch(this->s, 1);
   EXPECT_TRUE(ch.try_send(1));
   EXPECT_FALSE(ch.try_send(2));
   EXPECT_EQ(ch.size(), 1u);
 }
 
-// --------------------------------------------------------------- SimMutex --
+// ------------------------------------------------------------------ Mutex --
 
-TEST(SimMutex, MutualExclusionAndFifo) {
-  Simulation sim;
-  SimMutex m(sim);
+TYPED_TEST(MutexTest, MutualExclusionAndFifo) {
+  auto& s = this->s;
+  BasicMutex<TypeParam> m(s);
   std::vector<int> order;
-  auto worker = [](Simulation& s, SimMutex& mx, std::vector<int>& ord, int id) -> Task {
+  auto worker = [](TypeParam& sc, BasicMutex<TypeParam>& mx,
+                   std::vector<int>& ord, int id) -> Task {
     co_await mx.lock();
     ord.push_back(id);
-    co_await s.delay(10);
+    co_await pause(sc, 10);
     ord.push_back(id);
     mx.unlock();
   };
-  for (int i = 0; i < 4; ++i) sim.spawn(worker(sim, m, order, i));
-  sim.run();
+  for (int i = 0; i < 4; ++i) s.spawn(worker(s, m, order, i));
+  this->run();
   // Each worker's two entries must be adjacent (no interleaving) and FIFO.
   EXPECT_EQ(order, (std::vector<int>{0, 0, 1, 1, 2, 2, 3, 3}));
-  EXPECT_EQ(sim.now(), 40);
+  this->expect_elapsed(s.now(), 40);
 }
 
-TEST(SimMutex, TryLock) {
-  Simulation sim;
-  SimMutex m(sim);
+TYPED_TEST(MutexTest, TryLock) {
+  BasicMutex<TypeParam> m(this->s);
   EXPECT_TRUE(m.try_lock());
   EXPECT_FALSE(m.try_lock());
   m.unlock();
@@ -353,67 +470,73 @@ TEST(SimMutex, TryLock) {
   m.unlock();
 }
 
-// -------------------------------------------------------------- SimCondVar --
+// ---------------------------------------------------------------- CondVar --
 
-TEST(SimCondVar, PredicateLoopWakesOnNotify) {
-  Simulation sim;
-  SimMutex m(sim);
-  SimCondVar cv(sim);
+TYPED_TEST(CondVarTest, PredicateLoopWakesOnNotify) {
+  auto& s = this->s;
+  BasicMutex<TypeParam> m(s);
+  BasicCondVar<TypeParam> cv(s);
   bool ready = false;
   Time woke_at = -1;
 
-  sim.spawn([](Simulation& s, SimMutex& mx, SimCondVar& c, bool& r, Time& w) -> Task {
+  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
+             BasicCondVar<TypeParam>& c, bool& r, Time& w) -> Task {
     co_await mx.lock();
     while (!r) co_await c.wait(mx);
-    w = s.now();
+    w = sc.now();
     mx.unlock();
-  }(sim, m, cv, ready, woke_at));
+  }(s, m, cv, ready, woke_at));
 
-  sim.spawn([](Simulation& s, SimMutex& mx, SimCondVar& c, bool& r) -> Task {
-    co_await s.delay(250);
+  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
+             BasicCondVar<TypeParam>& c, bool& r) -> Task {
+    co_await pause(sc, 250);
     co_await mx.lock();
     r = true;
     mx.unlock();
     c.notify_one();
-  }(sim, m, cv, ready));
+  }(s, m, cv, ready));
 
-  sim.run();
-  EXPECT_EQ(woke_at, 250);
-  EXPECT_EQ(sim.unfinished_processes(), 0u);
+  this->run();
+  this->expect_elapsed(woke_at, 250);
 }
 
-TEST(SimCondVar, NotifyAllWakesEveryone) {
-  Simulation sim;
-  SimMutex m(sim);
-  SimCondVar cv(sim);
+TYPED_TEST(CondVarTest, NotifyAllWakesEveryone) {
+  auto& s = this->s;
+  BasicMutex<TypeParam> m(s);
+  BasicCondVar<TypeParam> cv(s);
   bool go = false;
-  int woke = 0;
+  std::vector<int> woke;
   for (int i = 0; i < 5; ++i) {
-    sim.spawn([](SimMutex& mx, SimCondVar& c, bool& g, int& w) -> Task {
+    s.spawn([](BasicMutex<TypeParam>& mx, BasicCondVar<TypeParam>& c,
+               bool& g, std::vector<int>& w, int id) -> Task {
       co_await mx.lock();
       while (!g) co_await c.wait(mx);
-      ++w;
+      w.push_back(id);
       mx.unlock();
-    }(m, cv, go, woke));
+    }(m, cv, go, woke, i));
   }
-  sim.spawn([](Simulation& s, SimMutex& mx, SimCondVar& c, bool& g) -> Task {
-    co_await s.delay(10);
+  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
+             BasicCondVar<TypeParam>& c, bool& g) -> Task {
+    co_await pause(sc, 10);
     co_await mx.lock();
     g = true;
     mx.unlock();
     c.notify_all();
-  }(sim, m, cv, go));
-  sim.run();
-  EXPECT_EQ(woke, 5);
+  }(s, m, cv, go));
+  this->run();
+  // Park order is wake order, and the mutex hands off FIFO after that.
+  EXPECT_EQ(woke, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
-TEST(SimCondVar, SpuriousSafeWithPredicate) {
-  Simulation sim;
-  SimMutex m(sim);
-  SimCondVar cv(sim);
+TYPED_TEST(CondVarTest, SpuriousSafeWithPredicate) {
+  auto& s = this->s;
+  BasicMutex<TypeParam> m(s);
+  BasicCondVar<TypeParam> cv(s);
   bool ready = false;
   int wakeups = 0;
-  sim.spawn([](SimMutex& mx, SimCondVar& c, bool& r, int& w) -> Task {
+  s.spawn([](BasicMutex<TypeParam>& mx, BasicCondVar<TypeParam>& c, bool& r,
+             int& w) -> Task {
     co_await mx.lock();
     while (!r) {
       co_await c.wait(mx);
@@ -421,39 +544,82 @@ TEST(SimCondVar, SpuriousSafeWithPredicate) {
     }
     mx.unlock();
   }(m, cv, ready, wakeups));
-  sim.spawn([](Simulation& s, SimMutex& mx, SimCondVar& c, bool& r) -> Task {
-    co_await s.delay(5);
+  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
+             BasicCondVar<TypeParam>& c, bool& r) -> Task {
+    co_await pause(sc, 5);
     c.notify_one();  // spurious: predicate still false
-    co_await s.delay(5);
+    co_await pause(sc, 5);
     co_await mx.lock();
     r = true;
     mx.unlock();
     c.notify_one();
-  }(sim, m, cv, ready));
-  sim.run();
+  }(s, m, cv, ready));
+  this->run();
   EXPECT_EQ(wakeups, 2);
-  EXPECT_EQ(sim.unfinished_processes(), 0u);
 }
 
-// ------------------------------------------------------------ SimSemaphore --
+// -------------------------------------------------------------- Semaphore --
 
-TEST(SimSemaphore, LimitsConcurrency) {
-  Simulation sim;
-  SimSemaphore sem(sim, 2);
+TYPED_TEST(SemaphoreTest, LimitsConcurrency) {
+  auto& s = this->s;
+  BasicSemaphore<TypeParam> sem(s, 2);
   int active = 0, peak = 0;
+  std::vector<int> entered;
   for (int i = 0; i < 6; ++i) {
-    sim.spawn([](Simulation& s, SimSemaphore& sm, int& a, int& p) -> Task {
+    s.spawn([](TypeParam& sc, BasicSemaphore<TypeParam>& sm, int& a, int& p,
+               std::vector<int>& e, int id) -> Task {
       co_await sm.acquire();
+      e.push_back(id);
       ++a;
       p = std::max(p, a);
-      co_await s.delay(100);
+      co_await pause(sc, 100);
       --a;
       sm.release();
-    }(sim, sem, active, peak));
+    }(s, sem, active, peak, entered, i));
   }
-  sim.run();
+  this->run();
   EXPECT_EQ(peak, 2);
-  EXPECT_EQ(sim.now(), 300);  // 6 jobs, width 2, 100 each
+  EXPECT_EQ(entered, (std::vector<int>{0, 1, 2, 3, 4, 5}));  // FIFO permits
+  EXPECT_EQ(sem.available(), 2);
+  this->expect_elapsed(s.now(), 300);  // 6 jobs, width 2, 100 each
+}
+
+// ------------------------------------------------------------------ Latch --
+
+TYPED_TEST(LatchTest, ReleasesAllWaitersOnlyAtZero) {
+  auto& s = this->s;
+  BasicLatch<TypeParam> latch(s, 2);
+  std::vector<int> released;
+  for (int i = 0; i < 3; ++i) {
+    s.spawn([](BasicLatch<TypeParam>& l, std::vector<int>& r, int id) -> Task {
+      co_await l.wait();
+      r.push_back(id);
+    }(latch, released, i));
+  }
+  s.spawn([](TypeParam& sc, BasicLatch<TypeParam>& l,
+             std::vector<int>& r) -> Task {
+    co_await pause(sc, 5);
+    l.count_down();
+    co_await pause(sc, 5);
+    EXPECT_TRUE(r.empty()) << "released before the count reached zero";
+    l.count_down();
+  }(s, latch, released));
+  this->run();
+  EXPECT_EQ(released, (std::vector<int>{0, 1, 2}));  // park order
+  EXPECT_EQ(latch.pending(), 0);
+}
+
+TYPED_TEST(LatchTest, WaitAtZeroDoesNotPark) {
+  auto& s = this->s;
+  BasicLatch<TypeParam> latch(s, 1);
+  latch.count_down();
+  bool passed = false;
+  s.spawn([](BasicLatch<TypeParam>& l, bool& p) -> Task {
+    co_await l.wait();
+    p = true;
+  }(latch, passed));
+  this->run();
+  EXPECT_TRUE(passed);
 }
 
 // ---------------------------------------------------------------- Resource --
