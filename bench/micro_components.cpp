@@ -1,10 +1,12 @@
 // Google-benchmark micro benches for the building blocks: the DES engine's
 // event throughput, the sync primitives on each executor, the fabric
-// transfer path, and the real computational kernels (LBM step, MD step,
-// moment/MSD analysis).
+// transfer path, MPI matching at scale, and the real computational kernels
+// (LBM step, MD step, moment/MSD analysis).
 #include <benchmark/benchmark.h>
 
+#include <coroutine>
 #include <cstdint>
+#include <vector>
 
 #include "apps/analysis/moments.hpp"
 #include "apps/analysis/msd.hpp"
@@ -15,6 +17,7 @@
 #include "core/exec/epoll.hpp"
 #include "core/exec/threaded.hpp"
 #include "core/exec/virtual_time.hpp"
+#include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "sim/channel.hpp"
 #include "sim/latch.hpp"
@@ -41,23 +44,54 @@ static void BM_SimEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventThroughput)->Arg(64)->Arg(1024)->Arg(8192);
 
-// Mixed-horizon schedule: half the processes use short (in-ring) delays, half
-// use long (overflow-heap) delays, exercising both tiers of the event queue.
+// Resumes the caller at the current time, after the events already queued
+// there (a same-time wake, as a channel handoff or latch release makes).
+struct YieldNow {
+  sim::Simulation* sim;
+  sim::SchedNode node{};
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    node.h = h;
+    sim->schedule_node_now(&node);
+  }
+  void await_resume() const noexcept {}
+};
+
+// Mixed-horizon schedule, exercising every tier of the event queue. Up to
+// 1024 processes: half use short (ring) delays, half 100-us (wheel) delays.
+// From 65,536 processes: des_weak_xl's delay mix, each process cycling
+// through 0 ns (same-time wake), 150 ns (ring), ~84 us (a 1 MiB NIC
+// transfer, wheel) and ~8 ms (a sender/receiver/analysis cost, wheel).
 static void BM_SimEventThroughputFarHorizon(benchmark::State& state) {
   const int n_processes = static_cast<int>(state.range(0));
+  const bool weak_xl_mix = n_processes >= 65536;
   for (auto _ : state) {
     sim::Simulation s;
     for (int i = 0; i < n_processes; ++i) {
-      s.spawn([](sim::Simulation& sim, sim::Time d) -> sim::Task {
-        for (int k = 0; k < 100; ++k) co_await sim.delay(d);
-      }(s, i % 2 ? 10 : 100000));
+      if (weak_xl_mix) {
+        s.spawn([](sim::Simulation& sim, int phase) -> sim::Task {
+          static constexpr sim::Time kMix[] = {0, 150, 83'950, 8'000'000};
+          for (int k = 0; k < 100; ++k) {
+            const sim::Time d = kMix[(phase + k) % 4];
+            if (d == 0) {
+              co_await YieldNow{&sim};
+            } else {
+              co_await sim.delay(d);
+            }
+          }
+        }(s, i));
+      } else {
+        s.spawn([](sim::Simulation& sim, sim::Time d) -> sim::Task {
+          for (int k = 0; k < 100; ++k) co_await sim.delay(d);
+        }(s, i % 2 ? 10 : 100000));
+      }
     }
     s.run();
     benchmark::DoNotOptimize(s.events_dispatched());
   }
   state.SetItemsProcessed(state.iterations() * n_processes * 100);
 }
-BENCHMARK(BM_SimEventThroughputFarHorizon)->Arg(1024);
+BENCHMARK(BM_SimEventThroughputFarHorizon)->Arg(1024)->Arg(65536);
 
 // --------------------------------------------------- sharded DES engine ----
 
@@ -333,6 +367,41 @@ static void BM_FabricTransfer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_FabricTransfer)->Arg(256)->Arg(4096);
+
+// MPI matching at des_weak_xl's scale: a World of ~40k ranks (32 per host)
+// is built per iteration, then every rank sends two tagged messages to its
+// right neighbour and receives them from its left one in reverse order. The
+// first receive parks and is matched on delivery; the second finds its
+// message already queued. Items are messages.
+static void BM_MpiMatchManyRanks(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  constexpr int kRanksPerHost = 32;
+  std::vector<int> rank_to_host(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    rank_to_host[static_cast<std::size_t>(r)] = r / kRanksPerHost;
+  }
+  net::FabricConfig cfg;
+  cfg.num_hosts = (ranks + kRanksPerHost - 1) / kRanksPerHost;
+  cfg.hosts_per_leaf = 16;
+  sim::Simulation s;
+  net::Fabric f(s, cfg);
+  for (auto _ : state) {
+    mpi::World w(s, f, rank_to_host);
+    for (int r = 0; r < ranks; ++r) {
+      s.spawn([](mpi::World& wd, int me, int n) -> sim::Task {
+        mpi::Envelope e;
+        wd.isend(me, (me + 1) % n, 1, 8);
+        wd.isend(me, (me + 1) % n, 2, 8);
+        co_await wd.recv(me, (me + n - 1) % n, 2, e);
+        co_await wd.recv(me, (me + n - 1) % n, 1, e);
+      }(w, r, ranks));
+    }
+    s.run();
+    benchmark::DoNotOptimize(w.pending_at(0));
+  }
+  state.SetItemsProcessed(state.iterations() * ranks * 2);
+}
+BENCHMARK(BM_MpiMatchManyRanks)->Arg(40960)->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------- kernels ----
 

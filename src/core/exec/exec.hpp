@@ -4,7 +4,7 @@
 // against this contract and instantiated per executor *binding*:
 //
 //   * VirtualTimeExecutor (virtual_time.hpp) adapts the deterministic DES
-//     kernel (sim::Simulation's two-tier bucketed queue). Awaitables are the
+//     kernel (sim::Simulation's three-tier bucketed queue). Awaitables are the
 //     existing sim primitives, so the body expands to the same (time, seq)
 //     event sequence the pre-refactor SimZipper produced — the golden-digest
 //     byte-identity oracle pins this down.

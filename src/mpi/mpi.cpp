@@ -5,10 +5,10 @@
 namespace zipper::mpi {
 
 World::World(sim::Simulation& sim, net::Fabric& fabric, std::vector<int> rank_to_host)
-    : sim_(&sim), fabric_(&fabric), rank_to_host_(std::move(rank_to_host)) {
-  unmatched_.resize(rank_to_host_.size());
-  parked_.resize(rank_to_host_.size());
-}
+    : sim_(&sim),
+      fabric_(&fabric),
+      rank_to_host_(std::move(rank_to_host)),
+      ranks_(rank_to_host_.size()) {}
 
 void World::bind_rank_sims(std::vector<sim::Simulation*> rank_sims) {
   assert(rank_sims.size() == rank_to_host_.size());
@@ -16,17 +16,15 @@ void World::bind_rank_sims(std::vector<sim::Simulation*> rank_sims) {
 }
 
 void World::deliver(int dst_rank, Envelope&& env) {
-  auto& parked = parked_[static_cast<std::size_t>(dst_rank)];
-  for (auto it = parked.begin(); it != parked.end(); ++it) {
-    if (matches(it->src, it->tag, env)) {
-      *it->out = std::move(env);
-      auto h = it->h;
-      parked.erase(it);
-      sim_of(dst_rank).schedule_now(h);
-      return;
-    }
+  RankQueues& q = ranks_[static_cast<std::size_t>(dst_rank)];
+  RecvAwaiter* r = q.parked.take_first(
+      [&env](const RecvAwaiter& a) { return matches(a.src, a.tag, env); });
+  if (r) {
+    *r->out = std::move(env);
+    sim_of(dst_rank).schedule_node_now(&r->node);
+    return;
   }
-  unmatched_[static_cast<std::size_t>(dst_rank)].push_back(std::move(env));
+  q.unmatched.push_back(std::move(env));
 }
 
 sim::Task World::send(int src_rank, int dst_rank, int tag, std::uint64_t bytes,
@@ -47,20 +45,45 @@ void World::isend(int src_rank, int dst_rank, int tag, std::uint64_t bytes,
   }(*this, src_rank, dst_rank, tag, bytes, std::move(payload), done, cls));
 }
 
+namespace {
+// Envelopes a drained unmatched queue keeps allocated (ranks that trade a few
+// messages at a time reuse their buffer; bursts give theirs back).
+constexpr std::size_t kKeptCapacity = 16;
+}  // namespace
+
 bool World::RecvAwaiter::await_ready() {
-  auto& queue = w->unmatched_[static_cast<std::size_t>(dst)];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (matches(src, tag, *it)) {
-      *out = std::move(*it);
-      queue.erase(it);
-      return true;
+  RankQueues& q = w->ranks_[static_cast<std::size_t>(dst)];
+  auto& msgs = q.unmatched;
+  for (std::size_t i = q.head; i < msgs.size(); ++i) {
+    if (!matches(src, tag, msgs[i])) continue;
+    *out = std::move(msgs[i]);
+    if (i == q.head) {
+      ++q.head;
+    } else {
+      msgs.erase(msgs.begin() + static_cast<std::ptrdiff_t>(i));
     }
+    // Reclaim the consumed prefix once it is all or most of the vector, so a
+    // queue that never drains stays bounded. A drained queue keeps a small
+    // buffer for the next message but returns the one a burst grew.
+    if (q.head == msgs.size()) {
+      if (msgs.capacity() > kKeptCapacity) {
+        std::vector<Envelope>().swap(msgs);
+      } else {
+        msgs.clear();
+      }
+      q.head = 0;
+    } else if (q.head >= 64 && 2 * q.head >= msgs.size()) {
+      msgs.erase(msgs.begin(), msgs.begin() + static_cast<std::ptrdiff_t>(q.head));
+      q.head = 0;
+    }
+    return true;
   }
   return false;
 }
 
 void World::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
-  w->parked_[static_cast<std::size_t>(dst)].push_back(Parked{src, tag, out, h});
+  node.h = h;
+  w->ranks_[static_cast<std::size_t>(dst)].parked.push_back(this);
 }
 
 sim::Task World::recv_into(int dst_rank, int src, int tag, Envelope& out) {

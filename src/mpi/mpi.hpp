@@ -11,17 +11,30 @@
 // Flexpath's processes-per-node pathology). Payload bytes dominate cost; a
 // side-channel `std::any` carries values (e.g., reduction doubles) that tests
 // and analyses need. Message envelopes add `kHeaderBytes` of wire overhead.
+//
+// Matching allocates nothing per rank and nothing per parked receive. Each
+// rank keeps two queues:
+//   * parked receivers: an intrusive FIFO of the `RecvAwaiter`s themselves
+//     (each lives in its coroutine frame and embeds the SchedNode that wakes
+//     it), so a delivery unlinks the first matching receiver in park order
+//     and wakes it with `schedule_node_now`;
+//   * unmatched messages: a vector in arrival order, consumed from a head
+//     index, which allocates only when the rank's first unmatched message
+//     arrives and gives a burst's buffer back once it drains. A receive
+//     takes the first matching message in arrival order.
+// Both scans follow MPI's non-overtaking rule: among matches, the oldest
+// wins.
 #pragma once
 
 #include <any>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/latch.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
@@ -74,10 +87,14 @@ class World {
              std::any payload = {}, sim::Latch* done = nullptr,
              net::TrafficClass cls = net::TrafficClass::kMessage);
 
+  /// A posted receive. While suspended it is linked into its rank's parked
+  /// list; the delivery that matches it fills `*out` and wakes `node`.
   struct RecvAwaiter {
     World* w;
     int dst, src, tag;
     Envelope* out;
+    sim::SchedNode node{};
+    RecvAwaiter* next_waiter = nullptr;
     bool await_ready();
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() const noexcept {}
@@ -94,15 +111,17 @@ class World {
 
   /// Number of matchable but unreceived messages queued at `rank`.
   std::size_t pending_at(int rank) const {
-    return unmatched_[static_cast<std::size_t>(rank)].size();
+    const RankQueues& q = ranks_[static_cast<std::size_t>(rank)];
+    return q.unmatched.size() - q.head;
   }
 
  private:
   friend struct RecvAwaiter;
-  struct Parked {
-    int src, tag;
-    Envelope* out;
-    std::coroutine_handle<> h;
+  /// Matching state of one rank (see the header comment).
+  struct RankQueues {
+    sim::IntrusiveFifo<RecvAwaiter> parked;
+    std::vector<Envelope> unmatched;  // arrival order, live from `head`
+    std::size_t head = 0;
   };
   static bool matches(int want_src, int want_tag, const Envelope& e) {
     return (want_src == kAnySource || want_src == e.src) &&
@@ -115,8 +134,7 @@ class World {
   net::Fabric* fabric_;
   std::vector<sim::Simulation*> rank_sim_;  // empty unless sharded
   std::vector<int> rank_to_host_;
-  std::vector<std::deque<Envelope>> unmatched_;
-  std::vector<std::deque<Parked>> parked_;
+  std::vector<RankQueues> ranks_;
 };
 
 /// A subgroup of world ranks with collective operations. Members must invoke

@@ -5,10 +5,13 @@
 // RNG. Two runs of the same program produce identical event orders and
 // identical simulated timestamps.
 //
-// Scheduling is a two-tier bucketed queue (see event_queue.hpp): near-horizon
-// events go to per-nanosecond FIFO buckets (O(1) push/pop), far-horizon
-// events to an overflow heap. Awaiters embed their SchedNode in the coroutine
-// frame, so the steady-state schedule/dispatch path performs no allocation.
+// Scheduling is a three-tier bucketed queue (see event_queue.hpp): events in
+// the current 2048-ns window go to per-nanosecond FIFO buckets, events up to
+// 33.5 ms ahead to one list per window, and later ones to a heap. Pushes are
+// O(1) except into the heap. An older tier always goes first at equal time,
+// so dispatch is exactly (time, scheduling order). Awaiters
+// embed their SchedNode in the coroutine frame, so the steady-state
+// schedule/dispatch path performs no allocation.
 #pragma once
 
 #include <cassert>
@@ -56,18 +59,24 @@ class Simulation {
   /// embedded in the awaiter's coroutine frame) with n->h already set. The
   /// node must stay alive until its event is dispatched.
   void schedule_node_at(Time t, SchedNode* n) {
-    assert((current() == nullptr || current() == this) &&
-           "cross-shard wake outside the mailbox protocol");
+    assert_owner();
     queue_.push(n, t, now_);
   }
   void schedule_node_after(Time delay, SchedNode* n) {
+    assert_owner();
     queue_.push(n, now_ + delay, now_);
   }
-  void schedule_node_now(SchedNode* n) { queue_.push(n, now_, now_); }
+  void schedule_node_now(SchedNode* n) {
+    assert_owner();
+    queue_.push(n, now_, now_);
+  }
 
   /// Wakes every waiter parked on `l` at the current time with a single O(1)
   /// list splice; FIFO park order becomes scheduling order.
-  void wake_all_now(WaitList& l) { queue_.splice_now(l, now_); }
+  void wake_all_now(WaitList& l) {
+    assert_owner();
+    queue_.splice_now(l, now_);
+  }
 
   /// Detaches `task` as a root simulated process; its first resume is
   /// scheduled at the current simulated time.
@@ -120,7 +129,7 @@ class Simulation {
   /// Total number of events dispatched so far.
   std::uint64_t events_dispatched() const noexcept { return dispatched_; }
 
-  /// Number of events currently queued (both tiers).
+  /// Number of events currently queued (all tiers).
   std::size_t events_queued() const noexcept { return queue_.size(); }
 
   /// Sentinel for "no queued event" from next_event_time().
@@ -134,6 +143,13 @@ class Simulation {
 
  private:
   static constexpr std::size_t kPoolChunk = 256;
+
+  /// Every scheduling entry point checks that no wake crosses a shard
+  /// boundary: the caller runs on this Simulation's thread or on none.
+  void assert_owner() const noexcept {
+    assert((current() == nullptr || current() == this) &&
+           "cross-shard wake outside the mailbox protocol");
+  }
 
   SchedNode* acquire_node() {
     if (!free_) refill_pool();

@@ -1,9 +1,12 @@
 // Tests for the mini-MPI layer: matching, wildcards, sendrecv, isend/waitall
-// via Latch, and the collectives (barrier, bcast, reduce, allreduce, gather).
+// via Latch, the intrusive parked/unmatched queues (unlink from the middle
+// and tail, first-match-in-park-order, selective receive), and the
+// collectives (barrier, bcast, reduce, allreduce, gather).
 #include <gtest/gtest.h>
 
 #include <any>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -173,6 +176,117 @@ TEST(MiniMpi, SameHostRanksUseShm) {
   }(rig));
   rig.sim.run();
   EXPECT_EQ(rig.fabric.counters(0).xmit_data, 0u);  // never hit the NIC
+}
+
+// ------------------------------------------------ intrusive matching queues --
+
+namespace {
+
+// Parks one receive on `dst` and logs (id, tag, src) when it completes.
+Task logged_recv(Rig& r, int dst, int src, int tag, int id,
+                 std::vector<std::tuple<int, int, int>>& log) {
+  mpi::Envelope e;
+  co_await r.world.recv(dst, src, tag, e);
+  log.emplace_back(id, e.tag, e.src);
+}
+
+}  // namespace
+
+// Deliveries unlink the matching receiver from the middle, then the tail,
+// then the head of the parked list; a receive parked after the tail was
+// unlinked must still be reachable (the tail pointer moved back).
+TEST(MiniMpi, DeliveryUnlinksParkedReceiverFromMiddleAndTail) {
+  Rig rig(2, 2);
+  std::vector<std::tuple<int, int, int>> log;
+  std::vector<std::size_t> pending;
+  for (int id = 0; id < 3; ++id) {
+    rig.sim.spawn(logged_recv(rig, 1, 0, /*tag=*/id + 1, id, log));  // tags 1..3
+  }
+  rig.sim.spawn([](Rig& r, std::vector<std::tuple<int, int, int>>& lg,
+                   std::vector<std::size_t>& pend) -> Task {
+    co_await r.world.send(0, 1, 2, 64);  // middle
+    pend.push_back(r.world.pending_at(1));
+    co_await r.world.send(0, 1, 3, 64);  // tail
+    pend.push_back(r.world.pending_at(1));
+    r.sim.spawn(logged_recv(r, 1, 0, 4, 3, lg));  // parks behind id 0
+    co_await r.sim.delay(1);
+    co_await r.world.send(0, 1, 4, 64);  // the new tail
+    pend.push_back(r.world.pending_at(1));
+    co_await r.world.send(0, 1, 1, 64);  // head, now the only one left
+    pend.push_back(r.world.pending_at(1));
+  }(rig, log, pending));
+  rig.sim.run();
+  EXPECT_EQ(log, (std::vector<std::tuple<int, int, int>>{
+                     {1, 2, 0}, {2, 3, 0}, {3, 4, 0}, {0, 1, 0}}));
+  EXPECT_EQ(pending, (std::vector<std::size_t>{0, 0, 0, 0}));
+  EXPECT_EQ(rig.sim.unfinished_processes(), 0u);
+}
+
+// Receivers whose (source, tag) filters overlap: each delivery goes to the
+// first parked receiver that matches, in park order.
+TEST(MiniMpi, OverlappingWildcardsMatchFirstParkedReceiver) {
+  Rig rig(3, 3);
+  std::vector<std::tuple<int, int, int>> log;
+  std::vector<std::size_t> pending;
+  rig.sim.spawn(logged_recv(rig, 2, mpi::kAnySource, 5, /*id=*/0, log));
+  rig.sim.spawn(logged_recv(rig, 2, 1, mpi::kAnyTag, /*id=*/1, log));
+  rig.sim.spawn(logged_recv(rig, 2, mpi::kAnySource, mpi::kAnyTag, /*id=*/2, log));
+  rig.sim.spawn(logged_recv(rig, 2, 1, 5, /*id=*/3, log));
+  rig.sim.spawn([](Rig& r, std::vector<std::size_t>& pend) -> Task {
+    co_await r.world.send(1, 2, 5, 64);  // all four match: id 0 wins
+    pend.push_back(r.world.pending_at(2));
+    co_await r.world.send(1, 2, 5, 64);  // ids 1, 2, 3 match: id 1 wins
+    pend.push_back(r.world.pending_at(2));
+    co_await r.world.send(0, 2, 5, 64);  // only id 2 (id 3 wants source 1)
+    pend.push_back(r.world.pending_at(2));
+    co_await r.world.send(0, 2, 5, 64);  // nobody matches: buffered
+    pend.push_back(r.world.pending_at(2));
+    co_await r.world.send(1, 2, 5, 64);  // id 3, the last parked receiver
+    pend.push_back(r.world.pending_at(2));
+  }(rig, pending));
+  rig.sim.run();
+  EXPECT_EQ(log, (std::vector<std::tuple<int, int, int>>{
+                     {0, 5, 1}, {1, 5, 1}, {2, 5, 0}, {3, 5, 1}}));
+  EXPECT_EQ(pending, (std::vector<std::size_t>{0, 0, 0, 1, 1}));
+  EXPECT_EQ(rig.sim.unfinished_processes(), 0u);
+}
+
+// A selective receive takes its message from the middle of the unmatched
+// queue; wildcard receives then drain the rest in arrival order. 200
+// messages also exercise reclaiming the consumed prefix.
+TEST(MiniMpi, SelectiveRecvPullsFromMiddleOfUnmatchedQueue) {
+  Rig rig(2, 2);
+  constexpr int kMsgs = 200;
+  std::vector<int> tags;
+  std::vector<std::size_t> pending;
+  rig.sim.spawn([](Rig& r) -> Task {
+    for (int t = 0; t < kMsgs; ++t) co_await r.world.send(0, 1, t, 8);
+  }(rig));
+  rig.sim.spawn([](Rig& r, std::vector<int>& tg, std::vector<std::size_t>& pend)
+                    -> Task {
+    co_await r.sim.delay(1'000'000);  // every message is buffered by now
+    pend.push_back(r.world.pending_at(1));
+    mpi::Envelope e;
+    co_await r.world.recv(1, 0, 100, e);  // middle
+    tg.push_back(e.tag);
+    pend.push_back(r.world.pending_at(1));
+    co_await r.world.recv(1, 0, kMsgs - 1, e);  // tail
+    tg.push_back(e.tag);
+    pend.push_back(r.world.pending_at(1));
+    for (int i = 0; i < kMsgs - 2; ++i) {
+      co_await r.world.recv(1, mpi::kAnySource, mpi::kAnyTag, e);
+      tg.push_back(e.tag);
+    }
+    pend.push_back(r.world.pending_at(1));
+  }(rig, tags, pending));
+  rig.sim.run();
+  std::vector<int> want{100, kMsgs - 1};
+  for (int t = 0; t < kMsgs - 1; ++t) {
+    if (t != 100) want.push_back(t);
+  }
+  EXPECT_EQ(tags, want);
+  EXPECT_EQ(pending, (std::vector<std::size_t>{kMsgs, kMsgs - 1, kMsgs - 2, 0}));
+  EXPECT_EQ(rig.sim.unfinished_processes(), 0u);
 }
 
 // ------------------------------------------------------------- collectives --

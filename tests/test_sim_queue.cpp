@@ -1,11 +1,17 @@
-// Determinism edge cases of the two-tier bucketed event queue: same-timestamp
-// FIFO ordering across bucket boundaries and across the ring/heap split,
-// run_until() leaving post-deadline events queued in both tiers, and the
-// Channel close() contract for parked senders (deadlock regression).
+// Determinism edge cases of the three-tier bucketed event queue:
+// same-timestamp FIFO ordering across bucket boundaries and across the
+// ring/wheel/heap split, run_until() leaving post-deadline events queued in
+// every tier, a randomized differential test against a reference (time, seq)
+// priority queue, and the Channel close() contract for parked senders
+// (deadlock regression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <random>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +28,7 @@ using namespace zipper::sim;
 namespace {
 
 constexpr Time kRing = static_cast<Time>(BucketQueue::kRingSize);
+constexpr Time kWheelSpan = kRing * static_cast<Time>(BucketQueue::kWheelSize);
 
 Task record_at(Simulation& sim, Time t, std::vector<std::pair<Time, int>>& log,
                int id) {
@@ -31,14 +38,15 @@ Task record_at(Simulation& sim, Time t, std::vector<std::pair<Time, int>>& log,
 
 }  // namespace
 
-// Events scheduled for the same timestamp from both tiers must fire in
-// scheduling order: the far-horizon (heap) batch was scheduled first and must
-// precede the near-horizon (ring) batch scheduled later for the same time.
+// Events scheduled for the same timestamp from two tiers must fire in
+// scheduling order: the far-horizon (wheel) batch was scheduled first and
+// must precede the near-horizon (ring) batch scheduled later for the same
+// time.
 TEST(BucketQueue, SameTimestampFifoAcrossTiers) {
   Simulation sim;
   std::vector<std::pair<Time, int>> log;
   const Time target = 2 * kRing + 100;
-  // Scheduled at time 0 for `target`: beyond the ring horizon -> overflow heap.
+  // Scheduled at time 0 for `target`: beyond the ring window -> wheel.
   for (int i = 0; i < 4; ++i) sim.spawn(record_at(sim, target, log, i));
   // Wake shortly before `target` and schedule more events for the *same*
   // timestamp: now within the horizon -> ring buckets.
@@ -84,9 +92,9 @@ TEST(BucketQueue, RunUntilParksBothTiersAndResumes) {
   Simulation sim;
   std::vector<std::pair<Time, int>> log;
   sim.spawn(record_at(sim, 100, log, 0));              // ring
-  sim.spawn(record_at(sim, kRing + 500, log, 1));      // heap at schedule time
-  sim.spawn(record_at(sim, 4 * kRing, log, 2));        // deep heap
-  sim.spawn(record_at(sim, 4 * kRing, log, 3));        // same-t heap FIFO
+  sim.spawn(record_at(sim, kRing + 500, log, 1));      // wheel at schedule time
+  sim.spawn(record_at(sim, 4 * kRing, log, 2));        // later window
+  sim.spawn(record_at(sim, 4 * kRing, log, 3));        // same-t window FIFO
   const Time deadline = kRing + 500;
   EXPECT_EQ(sim.run_until(deadline), deadline);
   EXPECT_EQ(log, (std::vector<std::pair<Time, int>>{{100, 0}, {kRing + 500, 1}}));
@@ -118,19 +126,20 @@ TEST(BucketQueue, RunUntilBetweenEventsDispatchesNothing) {
   EXPECT_EQ(log[0], (std::pair{3 * kRing, 0}));
 }
 
-// Batch heap->ring promotion: dense equal-timestamp runs deep in the far
-// horizon must drain in exact schedule order even when near-horizon events
-// are interleaved at the same timestamps after the batch was promoted
-// (heap-scheduled events precede ring-scheduled ones at equal t).
-TEST(BucketQueue, BatchPromotionKeepsFifoUnderLoad) {
+// Dense equal-timestamp runs deep in the far horizon must drain in exact
+// schedule order even when near-horizon events are interleaved at the same
+// timestamps after their window reached the ring (older tiers precede newer
+// ones at equal t). Half the runs start beyond the wheel span, so they pass
+// through all three tiers.
+TEST(BucketQueue, WindowFlushKeepsFifoUnderLoad) {
   Simulation sim;
   std::vector<std::pair<Time, int>> log;
   std::vector<std::pair<Time, int>> expected;
   int id = 0;
-  // 40 far-horizon timestamps x 8 same-t events each: all land in the
-  // overflow heap, then promote to the ring in batches as time advances.
+  // 40 far-horizon timestamps x 8 same-t events each: they land in the heap
+  // or the wheel, then reach the ring window by window as time advances.
   for (int k = 0; k < 40; ++k) {
-    const Time t = 2 * kRing + 64 * k;
+    const Time t = (k % 2 ? kWheelSpan : 0) + 2 * kRing + 64 * k;
     for (int j = 0; j < 8; ++j) {
       sim.spawn(record_at(sim, t, log, id));
       expected.emplace_back(t, id);
@@ -140,7 +149,7 @@ TEST(BucketQueue, BatchPromotionKeepsFifoUnderLoad) {
   // Late near-horizon arrivals at a subset of the same timestamps: they were
   // scheduled after the heap batch, so they must fire after it.
   for (int k = 0; k < 40; k += 5) {
-    const Time t = 2 * kRing + 64 * k;
+    const Time t = (k % 2 ? kWheelSpan : 0) + 2 * kRing + 64 * k;
     sim.spawn([](Simulation& s, std::vector<std::pair<Time, int>>& l, Time tgt,
                  int i) -> Task {
       co_await s.delay(tgt - 10);
@@ -161,7 +170,8 @@ TEST(BucketQueue, MixedTierDeterminismAcrossRuns) {
     Simulation sim;
     std::vector<std::pair<Time, int>> log;
     for (int i = 0; i < 300; ++i) {
-      sim.spawn(record_at(sim, (i * 1237) % (5 * kRing), log, i));
+      sim.spawn(record_at(sim, (i * 1237) % (5 * kRing) + (i % 3) * kWheelSpan,
+                          log, i));
     }
     sim.run();
     return std::pair{sim.events_dispatched(), log};
@@ -191,6 +201,123 @@ TEST(BucketQueue, LatchSpliceWakesInParkOrder) {
   sim.run();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// Randomized differential test: the three-tier queue against a reference
+// (time, seq) priority queue. Pushes mix same-time, ring, window-edge, wheel
+// and overflow delays, re-use already queued timestamps so equal times arrive
+// from every tier, and splice WaitList batches at the current time. Pops stop
+// at deadlines inside and between windows, as run_until() does; the clock
+// runs past several wheel wraps. After every step the pop order, the size and
+// next_time() (which the windowed sharded driver schedules by) must match.
+TEST(BucketQueue, RandomizedDifferentialAgainstReference) {
+  using Key = std::tuple<Time, std::uint64_t, std::size_t>;  // (t, seq, node)
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](Time n) {
+      return static_cast<Time>(rng() % static_cast<std::uint64_t>(n));
+    };
+    BucketQueue q;
+    std::set<Key> ref;
+    std::vector<SchedNode> nodes(60000);
+    std::size_t used = 0;
+    std::uint64_t seq = 0;
+    std::vector<Time> queued_times;  // candidates for equal-time pushes
+    Time now = 0;
+
+    auto pick_time = [&]() -> Time {
+      switch (below(8)) {
+        case 0: return now;
+        case 1: return now + below(300);                   // ring or next window
+        case 2: return (now | (kRing - 1)) + below(3);     // window edge
+        case 3: return now + kRing + below(64 * kRing);    // near wheel
+        case 4: return now + below(kWheelSpan);            // anywhere in the wheel
+        case 5: return now + kWheelSpan - kRing + below(3 * kRing);  // wheel end
+        case 6: return now + kWheelSpan + below(kWheelSpan);         // overflow
+        default: {
+          const Time t = queued_times.empty()
+                             ? now
+                             : queued_times[rng() % queued_times.size()];
+          return t >= now ? t : now;
+        }
+      }
+    };
+    auto check = [&] {
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+      ASSERT_EQ(q.next_time(now),
+                ref.empty() ? BucketQueue::kNoDeadline : std::get<0>(*ref.begin()));
+    };
+
+    std::uint64_t popped = 0;
+    while (used + 64 < nodes.size()) {
+      const Time action = below(10);
+      if (action < 5) {
+        const Time n = 1 + below(8);
+        for (Time i = 0; i < n; ++i) {
+          const Time t = pick_time();
+          q.push(&nodes[used], t, now);
+          ref.emplace(t, seq++, used++);
+          queued_times.push_back(t);
+        }
+      } else if (action == 5) {
+        WaitList l;
+        const Time n = 1 + below(6);
+        for (Time i = 0; i < n; ++i) {
+          l.push_back(&nodes[used]);
+          ref.emplace(now, seq++, used++);
+        }
+        q.splice_now(l, now);
+        ASSERT_TRUE(l.empty());
+      } else {
+        Time deadline = BucketQueue::kNoDeadline;
+        switch (below(5)) {
+          case 0: deadline = now + below(kRing); break;                // inside
+          case 1: deadline = (now | (kRing - 1)); break;               // window end
+          case 2: deadline = (now | (kRing - 1)) + 1 + below(kRing); break;  // next
+          case 3:
+            if (!ref.empty()) deadline = std::get<0>(*ref.begin()) - 1;  // between
+            break;
+          default: break;  // no deadline, bounded pop count
+        }
+        for (int k = 0; k < 64; ++k) {
+          Time t = -1;
+          SchedNode* n = q.pop(now, deadline, t);
+          if (ref.empty() || std::get<0>(*ref.begin()) > deadline) {
+            ASSERT_EQ(n, nullptr);
+            // run_until(): an empty queue lets the clock jump to the deadline.
+            if (ref.empty() && deadline != BucketQueue::kNoDeadline && now < deadline) {
+              now = deadline;
+            }
+            break;
+          }
+          const Key want = *ref.begin();
+          ref.erase(ref.begin());
+          ASSERT_EQ(n, &nodes[std::get<2>(want)]) << "pop " << popped;
+          ASSERT_EQ(t, std::get<0>(want)) << "pop " << popped;
+          now = t;
+          ++popped;
+          check();
+        }
+      }
+      check();
+      if (queued_times.size() > 4096) queued_times.erase(queued_times.begin(), queued_times.begin() + 2048);
+    }
+    // Drain what is left.
+    Time t = -1;
+    while (SchedNode* n = q.pop(now, BucketQueue::kNoDeadline, t)) {
+      const Key want = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(n, &nodes[std::get<2>(want)]);
+      ASSERT_EQ(t, std::get<0>(want));
+      now = t;
+      check();
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(now, 3 * kWheelSpan) << "the clock must pass several wheel wraps";
+  }
 }
 
 // ---------------------------------------------------- Channel close/senders --
