@@ -6,6 +6,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "apps/analysis/moments.hpp"
@@ -103,57 +104,25 @@ static void BM_ShardedEventThroughput(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   constexpr int kShards = 4, kProcs = 256, kLoops = 100;
   for (auto _ : state) {
-    sim::ShardedSimulation d(kShards, sim::ShardedConfig{threads, 0});
+    std::vector<std::unique_ptr<sim::Simulation>> shards;
+    std::vector<sim::Simulation*> ptrs;
     for (int s = 0; s < kShards; ++s) {
-      auto& sh = d.shard(s);
+      shards.push_back(std::make_unique<sim::Simulation>());
+      auto& sh = *shards.back();
+      ptrs.push_back(&sh);
       for (int i = 0; i < kProcs; ++i) {
         sh.spawn([](sim::Simulation& sim) -> sim::Task {
           for (int k = 0; k < kLoops; ++k) co_await sim.delay(10);
         }(sh));
       }
     }
-    const auto stats = d.run_free();
+    const auto stats = sim::run_shards(ptrs, threads);
     benchmark::DoNotOptimize(stats.events);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kShards * kProcs * kLoops);
 }
 BENCHMARK(BM_ShardedEventThroughput)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// Cross-shard mailbox + window-barrier overhead: a token ring posts one
-// message per shard per window for many rounds (windowed mode). Items are
-// delivered messages, so this prices a full round: run_until to the window
-// edge, barrier, merge-sort of the mailboxes, spawn_at injection. The
-// outbox/merge vectors are the per-shard mailbox arena — cleared with
-// capacity retained each round, so steady-state rounds do not allocate.
-static void BM_ShardedCrossShardWindow(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  constexpr int kShards = 4;
-  constexpr int kHops = 512;
-  constexpr sim::Time kL = 64;
-  struct Hop {
-    sim::ShardedSimulation* d;
-    int left;
-    void operator()(int at, sim::Time t) const {
-      if (left <= 0) return;
-      Hop next{d, left - 1};
-      const int to = (at + 1) % kShards;
-      d->post(at, to, t + kL, [next, to, t2 = t + kL] { next(to, t2); });
-    }
-  };
-  for (auto _ : state) {
-    sim::ShardedSimulation d(kShards, sim::ShardedConfig{threads, kL});
-    for (int s = 0; s < kShards; ++s) {
-      Hop h{&d, kHops};
-      d.post(s, s, kL, [h, s] { h(s, kL); });
-    }
-    const auto stats = d.run();
-    benchmark::DoNotOptimize(stats.messages);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kShards * kHops);
-}
-BENCHMARK(BM_ShardedCrossShardWindow)->Arg(1)->Arg(4)->UseRealTime();
 
 // Request/reply round trips between a client and a server coroutine over a
 // ping and a pong channel. After the first round, every transfer in either

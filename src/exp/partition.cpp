@@ -116,10 +116,6 @@ bool try_groups(int S, int P, int Q, const workflow::ClusterSpec& cs,
 
 }  // namespace
 
-sim::Time shard_lookahead(const workflow::ClusterSpec& cs) {
-  return cs.fabric.software_overhead + cs.fabric.hop_latency;
-}
-
 workflow::ShardPlan plan_shards(const ScenarioSpec& spec, int threads) {
   if (threads <= 1) return sequential("sim-threads <= 1");
   if (spec.kind != ScenarioKind::kWorkflow)
@@ -163,7 +159,6 @@ workflow::ShardPlan plan_shards(const ScenarioSpec& spec, int threads) {
     workflow::ShardPlan plan;
     plan.num_shards = S;
     plan.threads = std::min(threads, S);
-    plan.lookahead = shard_lookahead(cs);
     plan.groups = std::move(groups);
     plan.rank_to_shard.assign(static_cast<std::size_t>(P + Q), 0);
     for (int s = 0; s < S; ++s) {

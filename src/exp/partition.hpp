@@ -5,10 +5,7 @@
 // interaction ever crosses a group boundary. Only then does run_scenario use
 // the sharded path, which is what makes a sharded run trivially
 // byte-identical to the sequential run at any thread count: the shards
-// free-run with no cross-shard events at all (sim/sharded.hpp's windowed
-// mode exists for couplings with bounded-latency cross-shard edges; the
-// scenario path never needs it, and zero-latency request/response semantics
-// like MPI send completion could not be windowed conservatively anyway).
+// free-run (sim::run_shards) with no cross-shard events at all.
 //
 // Decomposability requires, in order of checking:
 //   * a plain Zipper workflow (no pipeline chain, no staging servers),
@@ -29,12 +26,6 @@
 #include "workflow/runner.hpp"
 
 namespace zipper::exp {
-
-/// The conservative lookahead a windowed run of this cluster could use: the
-/// minimum cross-host latency (send-side software overhead + one wire hop).
-/// Reported in the shard_* diagnostics; the free-running scenario path does
-/// not consume it.
-sim::Time shard_lookahead(const workflow::ClusterSpec& cs);
 
 /// Plans a sharded execution of `spec` over up to `threads` workers.
 /// Returns a sharded plan (num_shards > 1) only when full decomposability

@@ -341,11 +341,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   if (spec.shard_metrics) {
     out.put("shard_count", plan.num_shards);
     out.put("shard_threads", plan.sharded() ? plan.threads : 1);
-    out.put("shard_lookahead_ns",
-            static_cast<double>(shard_lookahead(cspec)));
     out.put("shard_events", static_cast<double>(shard_info.events));
-    out.put("shard_windows", static_cast<double>(shard_info.windows));
-    out.put("shard_messages", static_cast<double>(shard_info.messages));
     out.put("shard_sync_wall_s", shard_info.wall_s);
   }
 

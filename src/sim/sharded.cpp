@@ -1,222 +1,47 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <cassert>
+#include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
-#include <utility>
-
-#include "sim/task.hpp"
 
 namespace zipper::sim {
 
-namespace {
+ShardedStats run_shards(const std::vector<Simulation*>& shards, int threads) {
+  const int S = static_cast<int>(shards.size());
+  const int T = std::clamp(threads, 1, std::max(S, 1));
+  std::uint64_t base_events = 0;
+  for (const Simulation* s : shards) base_events += s->events_dispatched();
 
-Task invoke_message(std::function<void()> fn) {
-  fn();
-  co_return;
-}
-
-}  // namespace
-
-ShardedSimulation::ShardedSimulation(int num_shards, ShardedConfig cfg)
-    : cfg_(cfg) {
-  assert(num_shards > 0);
-  owned_.reserve(static_cast<std::size_t>(num_shards));
-  shards_.reserve(static_cast<std::size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    owned_.push_back(std::make_unique<Simulation>());
-    shards_.push_back(owned_.back().get());
-  }
-  threads_ = std::clamp(cfg.threads, 1, num_shards);
-  outbox_.resize(static_cast<std::size_t>(num_shards));
-  post_seq_.assign(static_cast<std::size_t>(num_shards), 0);
-}
-
-ShardedSimulation::ShardedSimulation(std::vector<Simulation*> shards,
-                                     ShardedConfig cfg)
-    : cfg_(cfg), shards_(std::move(shards)) {
-  assert(!shards_.empty());
-  threads_ = std::clamp(cfg.threads, 1, num_shards());
-  outbox_.resize(shards_.size());
-  post_seq_.assign(shards_.size(), 0);
-}
-
-ShardedSimulation::~ShardedSimulation() = default;
-
-void ShardedSimulation::post(int from, int to, Time t,
-                             std::function<void()> fn) {
-  assert(from >= 0 && from < num_shards());
-  assert(to >= 0 && to < num_shards());
-  if (mode_ == Mode::kFree) {
-    throw std::logic_error(
-        "ShardedSimulation::post during run_free: free-running partitions "
-        "must have no cross-shard edges");
-  }
-  if (mode_ == Mode::kWindowed && cfg_.lookahead > 0) {
-    const Time horizon = shard(from).now() + cfg_.lookahead;
-    if (t < horizon) {
-      throw std::logic_error(
-          "ShardedSimulation::post violates the conservative contract: "
-          "delivery time is inside the sender's lookahead window");
-    }
-  }
-  auto& box = outbox_[static_cast<std::size_t>(from)];
-  box.push_back(Message{t, shard(from).now(),
-                        post_seq_[static_cast<std::size_t>(from)]++, from, to,
-                        std::move(fn)});
-}
-
-bool ShardedSimulation::plan_next_round() {
-  // Merge every mailbox and land each message at its exact delivery
-  // timestamp. The sort key is a deterministic total order, so the injection
-  // sequence (and therefore every (time, seq) assignment downstream) depends
-  // only on the shard partition, never on thread count or scheduling.
-  merge_.clear();
-  for (auto& box : outbox_) {
-    for (auto& m : box) merge_.push_back(std::move(m));
-    box.clear();  // capacity retained: the mailbox arena
-  }
-  std::sort(merge_.begin(), merge_.end(),
-            [](const Message& a, const Message& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.origin_t != b.origin_t) return a.origin_t < b.origin_t;
-              if (a.origin_shard != b.origin_shard)
-                return a.origin_shard < b.origin_shard;
-              return a.origin_seq < b.origin_seq;
-            });
-  stats_.messages += merge_.size();
-  for (auto& m : merge_) {
-    shards_[static_cast<std::size_t>(m.to)]->spawn_at(
-        m.t, invoke_message(std::move(m.fn)));
-  }
-  merge_.clear();
-
-  Time t_min = Simulation::kNoEvent;
-  for (Simulation* s : shards_) t_min = std::min(t_min, s->next_event_time());
-  if (t_min == Simulation::kNoEvent) {
-    done_ = true;
-    return false;
-  }
-  // Windowed: execute t in [t_min, t_min + L); lockstep: exactly t_min.
-  window_end_ = cfg_.lookahead > 0 ? t_min + cfg_.lookahead : t_min + 1;
-  ++stats_.windows;
-  return true;
-}
-
-void ShardedSimulation::run_workers(const std::function<void(int)>& body) {
-  std::atomic<bool> abort{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
-  auto guarded = [&](int w) {
-    try {
-      body(w);
-    } catch (...) {
-      {
+  auto work = [&](int w) {
+    for (int s = w; s < S; s += T) {
+      try {
+        shards[static_cast<std::size_t>(s)]->run();
+      } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      abort.store(true, std::memory_order_relaxed);
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads_ - 1));
-  for (int w = 1; w < threads_; ++w) pool.emplace_back(guarded, w);
-  guarded(0);
-  for (auto& th : pool) th.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-ShardedStats ShardedSimulation::run() {
-  const int S = num_shards();
-  const int T = threads_;
-  stats_ = ShardedStats{};
-  done_ = false;
-  mode_ = Mode::kWindowed;
-  std::uint64_t base_events = 0;
-  for (Simulation* s : shards_) base_events += s->events_dispatched();
-
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  plan_next_round();
-  if (!done_) {
-    // One barrier per round: the completion step (serial, on exactly one
-    // thread, all workers parked) merges mailboxes and opens the next window.
-    std::barrier sync(T, [this, &abort]() noexcept {
-      if (abort.load(std::memory_order_relaxed)) {
-        done_ = true;
-        return;
-      }
-      plan_next_round();
-    });
-    auto work = [&](int w) {
-      while (!done_) {
-        if (!abort.load(std::memory_order_relaxed)) {
-          try {
-            for (int s = w; s < S; s += T) {
-              shards_[static_cast<std::size_t>(s)]->run_until(window_end_ - 1);
-            }
-          } catch (...) {
-            {
-              std::lock_guard<std::mutex> lock(error_mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-            abort.store(true, std::memory_order_relaxed);
-          }
-        }
-        sync.arrive_and_wait();
-      }
-    };
-    std::vector<std::thread> pool;
+  {
+    // jthread joins on destruction, so a failed thread start still joins
+    // the workers already running before `work`'s captures go away.
+    std::vector<std::jthread> pool;
     pool.reserve(static_cast<std::size_t>(T - 1));
     for (int w = 1; w < T; ++w) pool.emplace_back(work, w);
     work(0);
-    for (auto& th : pool) th.join();
   }
-  mode_ = Mode::kIdle;
   if (first_error) std::rethrow_exception(first_error);
 
-  for (Simulation* s : shards_) {
-    stats_.events += s->events_dispatched();
-    stats_.end_time = std::max(stats_.end_time, s->now());
+  ShardedStats stats;
+  for (const Simulation* s : shards) {
+    stats.events += s->events_dispatched();
+    stats.end_time = std::max(stats.end_time, s->now());
   }
-  stats_.events -= base_events;
-  return stats_;
-}
-
-ShardedStats ShardedSimulation::run_free() {
-  const int S = num_shards();
-  const int T = threads_;
-  stats_ = ShardedStats{};
-  mode_ = Mode::kFree;
-  for (const auto& box : outbox_) {
-    if (!box.empty()) {
-      mode_ = Mode::kIdle;
-      throw std::logic_error(
-          "ShardedSimulation::run_free with pending cross-shard messages");
-    }
-  }
-  std::uint64_t base_events = 0;
-  for (Simulation* s : shards_) base_events += s->events_dispatched();
-
-  run_workers([&](int w) {
-    for (int s = w; s < S; s += T) {
-      shards_[static_cast<std::size_t>(s)]->run();
-    }
-  });
-  mode_ = Mode::kIdle;
-
-  for (Simulation* s : shards_) {
-    stats_.events += s->events_dispatched();
-    stats_.end_time = std::max(stats_.end_time, s->now());
-  }
-  stats_.events -= base_events;
-  return stats_;
+  stats.events -= base_events;
+  return stats;
 }
 
 }  // namespace zipper::sim

@@ -1,44 +1,16 @@
-// Sharded parallel DES driver — conservative time-window execution.
+// Sharded parallel DES driver: free-running shards.
 //
-// A ShardedSimulation runs N independent `Simulation` shards, each owning a
-// disjoint set of coroutines (in the workflow layer: a contiguous block of
-// ranks and the fabric resources of their hosts), on up to `threads` worker
-// threads. Shards interact only through the cross-shard mailbox (`post`),
-// never by waking each other's coroutines directly — Simulation::current()
-// asserts that contract in debug builds.
-//
-// Three execution modes:
-//
-//   * free-run   — run_free(): the partition is fully decomposed (no
-//     cross-shard edges at all), so every shard runs to completion with no
-//     barriers. This is the scenario path's fast mode: the auto-partitioner
-//     (exp/partition.hpp) only shards a scenario when it can prove
-//     decomposability, which makes the result trivially byte-identical to
-//     the sequential run at any thread count.
-//
-//   * windowed   — run() with lookahead L > 0: rounds of
-//       window = [T_min, T_min + L)   where T_min = min over shards of
-//                                     next_event_time()
-//     Each shard executes all its events with t < window_end, posting
-//     cross-shard messages timestamped >= send_time + L >= window_end; a
-//     barrier then merges all mailboxes in (deliver_t, origin_t,
-//     origin_shard, origin_seq) order and lands each message at its exact
-//     delivery timestamp via spawn_at. Because messages can never be due
-//     inside the window they were posted in, barrier-time delivery is
-//     conservative, and because the merge key is a deterministic total
-//     order, results depend only on the shard partition — not on the thread
-//     count or on thread scheduling.
-//
-//   * lockstep   — run() with lookahead 0: sub-rounds at a single timestamp
-//     (window_end = T_min) repeated until no same-time messages remain, then
-//     advance. Correct for arbitrary zero-latency interaction, but a
-//     barrier per distinct timestamp makes it a degenerate-case/testing
-//     mode, not a performance mode.
+// run_shards() runs N independent `Simulation` shards, each owning a disjoint
+// set of coroutines (in the workflow layer: a contiguous block of ranks and
+// the fabric resources of their hosts), on up to `threads` worker threads.
+// Every shard runs to completion with no barriers, so the partition must be
+// fully decomposed: no wake may cross a shard, and Simulation::current()
+// asserts that in debug builds. The auto-partitioner (exp/partition.hpp) only
+// shards a scenario when it can prove decomposability, which makes the result
+// byte-identical to the sequential run at any thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -46,82 +18,17 @@
 
 namespace zipper::sim {
 
-struct ShardedConfig {
-  int threads = 1;     // worker threads; clamped to [1, num_shards]
-  Time lookahead = 0;  // windowed when > 0, lockstep sub-rounds when 0
-};
-
 /// Deterministic run statistics (no wall-clock; sync overhead in wall time is
 /// a property of the host and is measured by the bench harnesses instead).
 struct ShardedStats {
-  std::uint64_t windows = 0;   // barrier rounds (0 for run_free)
-  std::uint64_t messages = 0;  // cross-shard messages delivered
-  std::uint64_t events = 0;    // events dispatched across all shards
-  Time end_time = 0;           // max shard clock at completion
+  std::uint64_t events = 0;  // events dispatched across all shards
+  Time end_time = 0;         // max shard clock at completion
 };
 
-class ShardedSimulation {
- public:
-  /// Owning: constructs `num_shards` fresh Simulations.
-  explicit ShardedSimulation(int num_shards, ShardedConfig cfg = {});
-  /// Non-owning: drives externally-owned shards (the workflow Cluster's).
-  ShardedSimulation(std::vector<Simulation*> shards, ShardedConfig cfg = {});
-  ShardedSimulation(const ShardedSimulation&) = delete;
-  ShardedSimulation& operator=(const ShardedSimulation&) = delete;
-  ~ShardedSimulation();
-
-  int num_shards() const noexcept { return static_cast<int>(shards_.size()); }
-  int threads() const noexcept { return threads_; }
-  Time lookahead() const noexcept { return cfg_.lookahead; }
-  Simulation& shard(int s) { return *shards_[static_cast<std::size_t>(s)]; }
-
-  /// Posts `fn` for execution in shard `to` at absolute time `t`. Must be
-  /// called from shard `from`'s executing context (or before run()). The
-  /// conservative contract: t >= shard(from).now() + lookahead. Messages are
-  /// delivered at window barriers, merged across shards in
-  /// (t, origin_t, origin_shard, origin_seq) order.
-  void post(int from, int to, Time t, std::function<void()> fn);
-
-  /// Conservative windowed (lookahead > 0) or lockstep (lookahead == 0)
-  /// execution until every shard drains and no messages are in flight.
-  ShardedStats run();
-
-  /// Barrier-free execution for fully decomposed partitions; post() is an
-  /// error in this mode. Each shard runs to completion independently.
-  ShardedStats run_free();
-
- private:
-  struct Message {
-    Time t;                    // delivery timestamp in the target shard
-    Time origin_t;             // sender's clock at post time
-    std::uint64_t origin_seq;  // per-origin-shard monotone counter
-    int origin_shard;
-    int to;
-    std::function<void()> fn;
-  };
-
-  void run_workers(const std::function<void(int)>& body);
-  bool plan_next_round();  // serial: merge mailboxes, compute next window
-
-  ShardedConfig cfg_;
-  int threads_ = 1;
-  std::vector<std::unique_ptr<Simulation>> owned_;
-  std::vector<Simulation*> shards_;
-
-  // Per-origin-shard mailboxes: only that shard's worker appends, so posting
-  // is contention-free; vectors are cleared (capacity retained) each round —
-  // the per-shard mailbox arena.
-  std::vector<std::vector<Message>> outbox_;
-  std::vector<std::uint64_t> post_seq_;
-  std::vector<Message> merge_;  // reused merge scratch
-
-  // Round state shared between the serial planner and the workers; all
-  // accesses are separated by the round barrier.
-  enum class Mode { kIdle, kWindowed, kFree };
-  Mode mode_ = Mode::kIdle;
-  Time window_end_ = 0;
-  bool done_ = false;
-  ShardedStats stats_;
-};
+/// Runs every shard to completion on min(max(threads, 1), shards.size())
+/// workers: shard s runs on worker s % T, and the calling thread is worker
+/// 0. A shard that throws does not stop the others: every shard still runs,
+/// and the first exception caught is rethrown after every worker has joined.
+ShardedStats run_shards(const std::vector<Simulation*>& shards, int threads);
 
 }  // namespace zipper::sim

@@ -32,13 +32,6 @@ void Simulation::spawn(Task task) {
   schedule_now(h);
 }
 
-void Simulation::spawn_at(Time t, Task task) {
-  Task::Handle h = task.release();
-  assert(h && "spawn of an empty task");
-  roots_.push_back(h);
-  schedule_at(t, h);
-}
-
 namespace {
 thread_local Simulation* t_current_sim = nullptr;
 }  // namespace

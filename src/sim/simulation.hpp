@@ -82,14 +82,8 @@ class Simulation {
   /// scheduled at the current simulated time.
   void spawn(Task task);
 
-  /// Detaches `task` with its first resume scheduled at absolute time `t`
-  /// (must be >= now()). The sharded driver uses this to land cross-shard
-  /// messages at their exact delivery timestamp.
-  void spawn_at(Time t, Task task);
-
   /// The Simulation currently dispatching events on this thread, or nullptr.
-  /// Shard workers use it to assert that no wake ever crosses a shard
-  /// boundary outside the mailbox protocol.
+  /// Shard workers use it to assert that no wake ever crosses a shard.
   static Simulation* current() noexcept;
 
   /// Awaitable: suspend the calling coroutine for `d` simulated nanoseconds.
@@ -132,23 +126,14 @@ class Simulation {
   /// Number of events currently queued (all tiers).
   std::size_t events_queued() const noexcept { return queue_.size(); }
 
-  /// Sentinel for "no queued event" from next_event_time().
-  static constexpr Time kNoEvent = BucketQueue::kNoDeadline;
-
-  /// Timestamp of the earliest queued event, or kNoEvent when the queue is
-  /// empty. Used by the sharded driver to compute conservative time windows.
-  Time next_event_time() const noexcept {
-    return queue_.empty() ? kNoEvent : queue_.next_time(now_);
-  }
-
  private:
   static constexpr std::size_t kPoolChunk = 256;
 
-  /// Every scheduling entry point checks that no wake crosses a shard
-  /// boundary: the caller runs on this Simulation's thread or on none.
+  /// Every scheduling entry point checks that no wake crosses a shard: the
+  /// caller runs on this Simulation's thread or on none.
   void assert_owner() const noexcept {
     assert((current() == nullptr || current() == this) &&
-           "cross-shard wake outside the mailbox protocol");
+           "wake crosses a shard");
   }
 
   SchedNode* acquire_node() {

@@ -246,11 +246,9 @@ RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
 
   // The partitioner only shards fully decomposed plans (no cross-shard
   // edges, no perpetual background processes), so every shard free-runs to
-  // drain — no window barriers on the scenario path.
-  sim::ShardedSimulation driver(cl.shard_sims(),
-                                sim::ShardedConfig{plan.threads, plan.lookahead});
+  // drain.
   const auto wall0 = std::chrono::steady_clock::now();
-  const sim::ShardedStats st = driver.run_free();
+  const sim::ShardedStats st = sim::run_shards(cl.shard_sims(), plan.threads);
   const auto wall1 = std::chrono::steady_clock::now();
 
   for (int s = 0; s < S; ++s) {
@@ -262,8 +260,6 @@ RunResult run_workflow_sharded(Cluster& cl, const apps::WorkloadProfile& prof,
 
   if (info) {
     info->events = st.events;
-    info->windows = st.windows;
-    info->messages = st.messages;
     info->wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   }
 

@@ -18,7 +18,6 @@
 #include "apps/profiles.hpp"
 #include "core/chaos/chaos.hpp"
 #include "core/dsim/sim_runtime.hpp"
-#include "sim/time.hpp"
 #include "workflow/cluster.hpp"
 #include "workflow/coupling.hpp"
 
@@ -53,15 +52,11 @@ struct ShardGroup {
 };
 
 /// A validated shard assignment produced by exp/partition.hpp. num_shards ==
-/// 1 means "run sequentially" (fallback_reason says why). `lookahead` is the
-/// minimum cross-shard fabric latency from the ClusterSpec (software
-/// overhead + one hop) — the conservative window the driver *could* use; the
-/// scenario path only shards plans it proved fully decomposable, so the
-/// shards free-run with no barriers at all and lookahead is reporting only.
+/// 1 means "run sequentially" (fallback_reason says why). Only plans proved
+/// fully decomposable are sharded, so the shards free-run with no barriers.
 struct ShardPlan {
   int num_shards = 1;
   int threads = 1;
-  sim::Time lookahead = 0;
   std::vector<ShardGroup> groups;   // one per shard
   std::vector<int> rank_to_shard;   // size cluster.num_ranks()
   std::string fallback_reason;      // set when num_shards == 1
@@ -72,10 +67,8 @@ struct ShardPlan {
 /// shard_metrics spec flag — wall_s is host-dependent and must never reach
 /// default artifacts).
 struct ShardRunInfo {
-  std::uint64_t events = 0;    // events dispatched across all shards
-  std::uint64_t windows = 0;   // barrier rounds (0: free-run)
-  std::uint64_t messages = 0;  // cross-shard mailbox messages
-  double wall_s = 0;           // wall-clock of the parallel run loop
+  std::uint64_t events = 0;  // events dispatched across all shards
+  double wall_s = 0;         // wall-clock of the parallel run loop
 };
 
 /// Sharded Zipper workflow run: builds one slice SimZipper per shard group

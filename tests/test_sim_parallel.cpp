@@ -1,17 +1,15 @@
-// Sharded parallel DES: the ShardedSimulation engine's determinism contract
-// (free-run / windowed / lockstep modes, cross-shard FIFO and exactly-once
-// delivery, thread-count independence), the conservative auto-partitioner's
+// Sharded parallel DES: run_shards()'s free-run contract (per-shard event
+// order equal to a private sequential run at every thread count, error
+// propagation after every worker joins), the conservative auto-partitioner's
 // safety gates, and the end-to-end byte-identity of sharded scenario
 // artifacts against the sequential run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <random>
-#include <set>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -39,9 +37,22 @@ Task log_delays(Simulation& sim, std::vector<std::pair<Time, int>>& log,
   }
 }
 
+// `n` fresh shards plus the pointer view run_shards() takes.
+struct Shards {
+  std::vector<std::unique_ptr<Simulation>> owned;
+  std::vector<Simulation*> ptrs;
+  explicit Shards(int n) {
+    for (int s = 0; s < n; ++s) {
+      owned.push_back(std::make_unique<Simulation>());
+      ptrs.push_back(owned.back().get());
+    }
+  }
+  Simulation& operator[](int s) { return *ptrs[static_cast<std::size_t>(s)]; }
+};
+
 }  // namespace
 
-// ------------------------------------------------------- engine: free-run --
+// ------------------------------------------------------------------ engine --
 
 // A fully decomposed partition must produce, per shard, exactly the event
 // sequence the same workload produces on a private sequential Simulation —
@@ -57,16 +68,14 @@ TEST(ShardedSim, RunFreeMatchesSequentialPerShard) {
   };
 
   for (int threads : {1, 2, 4}) {
-    ShardedSimulation driver(3, ShardedConfig{threads, 0});
+    Shards shards(3);
     std::vector<std::vector<std::pair<Time, int>>> logs(3);
     for (int s = 0; s < 3; ++s) {
-      auto& sh = driver.shard(s);
+      auto& sh = shards[s];
       sh.spawn(log_delays(sh, logs[static_cast<std::size_t>(s)], s, 50, 7 + s));
       sh.spawn(log_delays(sh, logs[static_cast<std::size_t>(s)], 100 + s, 30, 11));
     }
-    const auto stats = driver.run_free();
-    EXPECT_EQ(stats.windows, 0u);
-    EXPECT_EQ(stats.messages, 0u);
+    const auto stats = run_shards(shards.ptrs, threads);
     std::uint64_t total_events = 0;
     Time max_end = 0;
     for (int s = 0; s < 3; ++s) {
@@ -80,215 +89,58 @@ TEST(ShardedSim, RunFreeMatchesSequentialPerShard) {
   }
 }
 
-// ------------------------------------------------------- engine: windowed --
-
-namespace {
-
-// A ring of shards passing a token: shard s receives at t, forwards to
-// (s+1)%S at t + L. Returns the (shard, time) delivery log and stats.
-std::pair<std::vector<std::pair<int, Time>>, ShardedStats> run_token_ring(
-    int S, int threads, Time L, int hops) {
-  ShardedSimulation driver(S, ShardedConfig{threads, L});
-  auto log = std::make_shared<std::vector<std::pair<int, Time>>>();
-  auto mu = std::make_shared<std::mutex>();
-
-  // The forwarding closure posts from the shard it executes in, so each
-  // hop respects the conservative contract t >= now() + L.
-  struct Forward {
-    ShardedSimulation* d;
-    std::shared_ptr<std::vector<std::pair<int, Time>>> log;
-    std::shared_ptr<std::mutex> mu;
-    int S;
-    int left;
-    void hop(int at, Time t) const {
-      {
-        std::lock_guard<std::mutex> lk(*mu);
-        log->emplace_back(at, t);
-      }
-      if (left <= 0) return;
-      Forward next = *this;
-      next.left = left - 1;
-      const int to = (at + 1) % S;
-      d->post(at, to, t + d->lookahead(),
-              [next, to, t2 = t + d->lookahead()] { next.hop(to, t2); });
-    }
-  };
-  const Forward f{&driver, log, mu, S, hops};
-  // Seed the ring from shard 0's context before run() starts.
-  driver.post(0, 0, L, [f, L] { f.hop(0, L); });
-
-  const auto stats = driver.run();
-  return {*log, stats};
-}
-
-}  // namespace
-
-// Windowed execution must be a pure function of the partition: identical
-// delivery logs and stats at 1, 2, 3, and 4 worker threads.
-TEST(ShardedSim, WindowedIdenticalAcrossThreadCounts) {
-  const auto [ref_log, ref_stats] = run_token_ring(4, 1, 10, 40);
-  ASSERT_EQ(ref_log.size(), 41u);
-  // The token visits shards round-robin at L, 2L, 3L, ...
-  for (std::size_t i = 0; i < ref_log.size(); ++i) {
-    EXPECT_EQ(ref_log[i].first, static_cast<int>(i % 4));
-    EXPECT_EQ(ref_log[i].second, static_cast<Time>(10 * (i + 1)));
-  }
-  EXPECT_EQ(ref_stats.messages, 41u);
-  for (int threads : {2, 3, 4}) {
-    const auto [log, stats] = run_token_ring(4, threads, 10, 40);
-    EXPECT_EQ(log, ref_log) << "threads=" << threads;
-    EXPECT_EQ(stats.windows, ref_stats.windows);
-    EXPECT_EQ(stats.messages, ref_stats.messages);
-    EXPECT_EQ(stats.events, ref_stats.events);
-    EXPECT_EQ(stats.end_time, ref_stats.end_time);
-  }
-}
-
-// ------------------------------------------------------- engine: lockstep --
-
-// Zero lookahead degenerates to same-timestamp sub-rounds: a chain of
-// same-time cross-shard messages must all land at one timestamp, in
-// deterministic order, and the run must still terminate.
-TEST(ShardedSim, LockstepZeroLookaheadSameTimeChain) {
-  for (int threads : {1, 4}) {
-    ShardedSimulation driver(3, ShardedConfig{threads, 0});
-    std::vector<std::pair<int, Time>> log;
-    std::mutex mu;
-    const Time t0 = 5;
-    // 0 -> 1 -> 2, every hop at the same simulated instant.
-    driver.post(0, 0, t0, [&, t0] {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        log.emplace_back(0, t0);
-      }
-      driver.post(0, 1, t0, [&, t0] {
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          log.emplace_back(1, t0);
-        }
-        driver.post(1, 2, t0, [&, t0] {
-          std::lock_guard<std::mutex> lk(mu);
-          log.emplace_back(2, t0);
-        });
-      });
-    });
-    const auto stats = driver.run();
-    ASSERT_EQ(log.size(), 3u) << "threads=" << threads;
-    for (int s = 0; s < 3; ++s) {
-      EXPECT_EQ(log[static_cast<std::size_t>(s)],
-                (std::pair{s, t0}));
-    }
-    EXPECT_EQ(stats.messages, 3u);
-    EXPECT_EQ(stats.end_time, t0);
-    // One barrier round per same-time hop, at minimum.
-    EXPECT_GE(stats.windows, 3u);
-  }
-}
-
-// A single-shard ShardedSimulation is just a Simulation with barrier
-// bookkeeping: events, end time, and self-posts must match the plain run.
+// One shard run on four requested threads is just a Simulation: the thread
+// count clamps to one worker, and events and end time match the plain run.
 TEST(ShardedSim, SingleShardDegenerateMatchesPlainSimulation) {
   Simulation ref;
   std::vector<std::pair<Time, int>> ref_log;
   ref.spawn(log_delays(ref, ref_log, 0, 20, 13));
   ref.run();
 
-  ShardedSimulation driver(1, ShardedConfig{4, 50});
+  Shards shards(1);
   std::vector<std::pair<Time, int>> log;
-  driver.shard(0).spawn(log_delays(driver.shard(0), log, 0, 20, 13));
-  bool self_post_ran = false;
-  driver.post(0, 0, 50, [&] { self_post_ran = true; });
-  const auto stats = driver.run();
+  shards[0].spawn(log_delays(shards[0], log, 0, 20, 13));
+  const auto stats = run_shards(shards.ptrs, 4);
   EXPECT_EQ(log, ref_log);
-  EXPECT_TRUE(self_post_ran);
-  // The shard clock rests somewhere inside the final lookahead window past
-  // the last event (run_until parks at window_end - 1).
-  const Time last_event = std::max<Time>(ref.now(), 50);
-  EXPECT_GE(stats.end_time, last_event);
-  EXPECT_LT(stats.end_time, last_event + 50);
-  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_EQ(stats.events, ref.events_dispatched());
+  EXPECT_EQ(stats.end_time, ref.now());
 }
 
-// ------------------------------------- engine: randomized FIFO/exactly-once --
-
-namespace {
-
-struct Delivery {
-  int src, dst, seq;
-  Time t;
-  bool operator==(const Delivery&) const = default;
-};
-
-std::vector<Delivery> run_random_storm(int S, int threads, Time L,
-                                       std::uint64_t seed) {
-  ShardedSimulation driver(S, ShardedConfig{threads, L});
-  auto log = std::make_shared<std::vector<Delivery>>();
-  auto mu = std::make_shared<std::mutex>();
-
-  // Per-shard deterministic traffic: seeded by (seed, shard), independent of
-  // thread count. Send times are strictly increasing per origin, so per
-  // (src, dst) delivery must be FIFO.
-  for (int s = 0; s < S; ++s) {
-    auto& sh = driver.shard(s);
-    sh.spawn([](Simulation& sim, ShardedSimulation& d, int src, int S,
-                std::uint64_t sd, std::shared_ptr<std::vector<Delivery>> lg,
-                std::shared_ptr<std::mutex> m) -> Task {
-      std::mt19937_64 rng(sd);
-      std::uniform_int_distribution<Time> jitter(1, 5);
-      std::uniform_int_distribution<int> pick(0, S - 2);
-      std::vector<int> seq(static_cast<std::size_t>(S), 0);
-      for (int i = 0; i < 64; ++i) {
-        co_await sim.delay(jitter(rng));
-        int dst = pick(rng);
-        if (dst >= src) ++dst;  // any shard but ourselves
-        const int k = seq[static_cast<std::size_t>(dst)]++;
-        const Time t = sim.now() + d.lookahead();
-        d.post(src, dst, t, [lg, m, src, dst, k, t] {
-          std::lock_guard<std::mutex> lk(*m);
-          lg->push_back(Delivery{src, dst, k, t});
-        });
+// A root process that throws in one shard fails the whole run, but only
+// after every worker has joined: the other shards, including those queued
+// behind the failing one on the same worker, still run to completion.
+TEST(ShardedSim, WorkerExceptionRethrownAfterAllShardsJoin) {
+  for (int threads : {1, 4}) {
+    Shards shards(4);
+    std::vector<std::vector<std::pair<Time, int>>> logs(4);
+    for (int s = 0; s < 4; ++s) {
+      auto& sh = shards[s];
+      if (s == 1) {
+        sh.spawn([](Simulation& sim) -> Task {
+          co_await sim.delay(5);
+          throw std::runtime_error("shard 1 failed");
+        }(sh));
       }
-    }(sh, driver, s, S, seed * 1000003u + static_cast<std::uint64_t>(s), log,
-      mu));
-  }
-  const auto stats = driver.run();
-  EXPECT_EQ(stats.messages, static_cast<std::uint64_t>(S) * 64u);
-
-  // Exactly-once: every (src, dst, seq) triple appears exactly one time.
-  std::set<std::tuple<int, int, int>> seen;
-  for (const auto& dv : *log) {
-    EXPECT_TRUE(seen.emplace(dv.src, dv.dst, dv.seq).second)
-        << "duplicate delivery src=" << dv.src << " dst=" << dv.dst
-        << " seq=" << dv.seq;
-  }
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(S) * 64u);
-
-  // FIFO per (src, dst): delivery timestamps must be non-decreasing in seq.
-  std::map<std::pair<int, int>, std::pair<int, Time>> last;
-  std::vector<Delivery> sorted = *log;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Delivery& a, const Delivery& b) {
-                     return std::tie(a.src, a.dst, a.seq) <
-                            std::tie(b.src, b.dst, b.seq);
-                   });
-  for (const auto& dv : sorted) {
-    auto it = last.find({dv.src, dv.dst});
-    if (it != last.end()) {
-      EXPECT_EQ(dv.seq, it->second.first + 1);
-      EXPECT_GT(dv.t, it->second.second);
+      sh.spawn(log_delays(sh, logs[static_cast<std::size_t>(s)], s, 40, 3 + s));
     }
-    last[{dv.src, dv.dst}] = {dv.seq, dv.t};
-  }
-  return sorted;
-}
-
-}  // namespace
-
-TEST(ShardedSim, RandomTrafficFifoExactlyOnceAndThreadInvariant) {
-  for (std::uint64_t seed : {1u, 42u, 1805u}) {
-    const auto ref = run_random_storm(4, 1, 8, seed);
-    const auto par = run_random_storm(4, 4, 8, seed);
-    EXPECT_EQ(ref, par) << "seed=" << seed;
+    EXPECT_THROW(
+        {
+          try {
+            run_shards(shards.ptrs, threads);
+          } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "shard 1 failed");
+            throw;
+          }
+        },
+        std::runtime_error)
+        << "threads=" << threads;
+    for (int s = 0; s < 4; ++s) {
+      if (s == 1) continue;
+      const auto& log = logs[static_cast<std::size_t>(s)];
+      ASSERT_EQ(log.size(), 40u) << "threads=" << threads << " shard " << s;
+      EXPECT_EQ(log.back().first, static_cast<Time>(40 * (3 + s)));
+      EXPECT_EQ(shards[s].unfinished_processes(), 0u);
+    }
   }
 }
 
@@ -319,9 +171,6 @@ TEST(PlanShards, ShardsTheDecomposableSpec) {
   ASSERT_TRUE(plan.sharded()) << plan.fallback_reason;
   EXPECT_GE(plan.num_shards, 2);
   EXPECT_LE(plan.threads, 4);
-  EXPECT_EQ(plan.lookahead,
-            exp::shard_lookahead(exp::make_cluster_spec(spec)));
-  EXPECT_GT(plan.lookahead, 0);
 
   // Groups tile [0,P) x [0,Q) contiguously and rank_to_shard agrees.
   const int P = spec.producers, Q = spec.effective_consumers();
@@ -505,10 +354,7 @@ TEST(ShardedScenario, ShardMetricsColumnsOptIn) {
   const auto loud = exp::run_scenario(spec);
   EXPECT_GE(loud.get("shard_count"), 2.0);
   EXPECT_GE(loud.get("shard_threads"), 2.0);
-  EXPECT_GT(loud.get("shard_lookahead_ns"), 0.0);
   EXPECT_GT(loud.get("shard_events"), 0.0);
-  EXPECT_EQ(loud.get("shard_windows"), 0.0);   // free-run: no barriers
-  EXPECT_EQ(loud.get("shard_messages"), 0.0);  // fully decomposed
 }
 
 // The sweep grid's sim_threads axis tags labels and switches the points to

@@ -209,7 +209,7 @@ TEST(BucketQueue, LatchSpliceWakesInParkOrder) {
 // from every tier, and splice WaitList batches at the current time. Pops stop
 // at deadlines inside and between windows, as run_until() does; the clock
 // runs past several wheel wraps. After every step the pop order, the size and
-// next_time() (which the windowed sharded driver schedules by) must match.
+// next_time() (which pop() uses to open the next window) must match.
 TEST(BucketQueue, RandomizedDifferentialAgainstReference) {
   using Key = std::tuple<Time, std::uint64_t, std::size_t>;  // (t, seq, node)
   for (std::uint64_t seed : {1u, 7u, 42u}) {
