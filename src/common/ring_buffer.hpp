@@ -4,7 +4,8 @@
 // frees a node per ~few elements as the FIFO churns, while this ring reuses
 // one power-of-two slab of slots forever (growing geometrically only when the
 // high-water mark rises). Elements are constructed on push and destroyed on
-// pop; head/tail are monotone counters masked into the slab.
+// pop; head/tail are monotone counters masked into the slab. An empty ring
+// owns no slab; the first push allocates kFirstGrowth slots.
 #pragma once
 
 #include <bit>
@@ -18,6 +19,10 @@ namespace zipper::common {
 template <typename T>
 class RingBuffer {
  public:
+  /// Slots of the first slab when growing from empty: most channels and
+  /// producer queues in a large simulation never hold more than a few items.
+  static constexpr std::size_t kFirstGrowth = 4;
+
   RingBuffer() = default;
   explicit RingBuffer(std::size_t initial_capacity) {
     if (initial_capacity > 0) grow(std::bit_ceil(initial_capacity));
@@ -51,7 +56,7 @@ class RingBuffer {
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (tail_ - head_ == cap_) grow(cap_ ? cap_ * 2 : 32);
+    if (tail_ - head_ == cap_) grow(cap_ ? cap_ * 2 : kFirstGrowth);
     T* slot = slab_ + (tail_ & mask_);
     ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
     ++tail_;

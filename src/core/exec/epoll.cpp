@@ -46,8 +46,7 @@ EpollExecutor::~EpollExecutor() {
   // exception or an early teardown). Parked waitlist entries in channels and
   // fd records reference these frames but are never resumed again; frame
   // destruction recursively frees nested child frames via their awaiters.
-  for (auto h : roots_) h.destroy();
-  roots_.clear();
+  roots_.destroy_all();
   if (timerfd_ >= 0) ::close(timerfd_);
   if (epfd_ >= 0) ::close(epfd_);
 }
@@ -55,7 +54,7 @@ EpollExecutor::~EpollExecutor() {
 void EpollExecutor::spawn(sim::Task t) {
   sim::Task::Handle h = t.release();
   if (!h) return;
-  roots_.push_back(h);
+  roots_.adopt(h);
   schedule(h);
 }
 
@@ -139,28 +138,10 @@ void EpollExecutor::expire_timers() {
   }
 }
 
-void EpollExecutor::sweep_finished_roots() {
-  std::size_t kept = 0;
-  std::exception_ptr first_error;
-  for (std::size_t i = 0; i < roots_.size(); ++i) {
-    sim::Task::Handle h = roots_[i];
-    if (!h.done()) {
-      roots_[kept++] = h;
-      continue;
-    }
-    if (!first_error && h.promise().exception) {
-      first_error = h.promise().exception;
-    }
-    h.destroy();
-  }
-  roots_.resize(kept);
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 void EpollExecutor::drain_ready() {
   // Drain one batch: resumes scheduled during this pass (wake chains) run in
   // the same pass, but a yield() re-enqueues behind them — FIFO fairness.
-  while (!ready_.empty()) {
+  while (!stop_ && !ready_.empty()) {
     auto h = ready_.front();
     ready_.pop_front();
     h.resume();
@@ -170,9 +151,10 @@ void EpollExecutor::drain_ready() {
 void EpollExecutor::run() {
   constexpr int kMaxEvents = 128;
   epoll_event evs[kMaxEvents];
+  stop_ = false;
   while (true) {
     drain_ready();
-    sweep_finished_roots();
+    roots_.rethrow_failure();
     if (roots_.empty()) return;
 
     // Park on epoll until an fd or the nearest timer fires. Timer deadlines

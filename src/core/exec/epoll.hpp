@@ -111,7 +111,8 @@ class EpollExecutor {
   void cancel_fd(int fd);
 
   /// Runs the loop until every root coroutine finished. A root exception
-  /// aborts the loop and rethrows (remaining roots are destroyed by ~).
+  /// ends the loop after that resume and rethrows (remaining roots are
+  /// destroyed by ~). Finished roots free themselves as they end.
   void run();
 
   std::size_t roots_alive() const noexcept { return roots_.size(); }
@@ -136,7 +137,6 @@ class EpollExecutor {
   void update_epoll(int fd, FdWait& w, bool existed);
   void dispatch_fd(int fd, std::uint32_t events);
   void expire_timers();
-  void sweep_finished_roots();
   void drain_ready();
 
   int epfd_ = -1;
@@ -148,7 +148,8 @@ class EpollExecutor {
       timers_;
   std::uint64_t timer_seq_ = 0;
   std::unordered_map<int, FdWait> fd_waits_;
-  std::vector<sim::Task::Handle> roots_;
+  bool stop_ = false;  // a root failed: drain_ready stops at once
+  sim::RootSet roots_{stop_};
 };
 
 /// The shared channel on this loop; kept as a name for perfbench's handoff rung.

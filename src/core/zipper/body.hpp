@@ -88,7 +88,7 @@ struct BodyConfig {
 template <class B>
 struct Item {
   BlockHeader h;
-  typename B::Payload payload;
+  [[no_unique_address]] typename B::Payload payload;  // empty: no bytes
 };
 
 /// The paper's mixed message: at most one data block plus the IDs of blocks

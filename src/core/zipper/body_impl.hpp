@@ -23,13 +23,13 @@ template <class B>
 struct ZipperBody<B>::Producer {
   Producer(typename B::Ctx& x, const sched::SchedConfig& sc, StealPolicy base,
            std::uint64_t block_bytes)
-      : spill(sc, base), sizer(sc, block_bytes), q(base.capacity), m(x),
+      : spill(sc, base), sizer(sc, block_bytes), m(x),
         not_full(x), not_empty(x), above_threshold(x),
         writer_done(x, base.enabled ? 1 : 0), sender_done(x, 1) {}
 
   sched::SpillPolicy spill;
   sched::BlockSizer sizer;
-  common::RingBuffer<ItemT> q;
+  common::RingBuffer<ItemT> q;  // grows on demand; spill.capacity() bounds it
   bool closed = false;
   typename B::Mutex m;  // protects q/closed across suspension points
   typename B::CondVar not_full, not_empty, above_threshold;

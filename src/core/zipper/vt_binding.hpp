@@ -219,6 +219,10 @@ class VtEnv {
   std::vector<std::uint64_t> preserve_offset_;
 };
 
+// A virtual block is its header: the empty payload takes no space in the
+// producer queues and consumer channels that hold one per buffered block.
+static_assert(sizeof(Item<VtBinding>) == sizeof(BlockHeader));
+
 extern template class ZipperBody<VtBinding>;
 
 }  // namespace zipper::core::zbody

@@ -96,24 +96,30 @@ sim::Task Fabric::transfer(int src_host, int dst_host, std::uint64_t bytes,
   src_ctr.xmit_data += bytes;
   src_ctr.xmit_pkts += 1;
 
-  sim::Time wait = co_await nic_tx_[src_host].transfer(bytes);
-  charge_wait(src_host, wait, cls);
-  co_await sim.delay(cfg_.hop_latency);
-
+  // The route is NIC TX, then (between leaves) the source leaf's uplink and
+  // the destination leaf's downlink through one core, then NIC RX, with a
+  // hop latency after every port but the last. One loop walks it, so the
+  // frame holds one port awaiter and one delay awaiter, not one per hop.
+  // The core is picked when the message reaches the source leaf.
   const int src_leaf = leaf_of(src_host);
   const int dst_leaf = leaf_of(dst_host);
-  if (src_leaf != dst_leaf) {
-    const int core = pick_core(src_host, dst_host);
-    wait = co_await up_[static_cast<std::size_t>(src_leaf * cfg_.num_core_switches + core)].transfer(bytes);
+  const int hops = src_leaf != dst_leaf ? 4 : 2;
+  int core = 0;
+  sim::Resource* port = &nic_tx_[src_host];
+  for (int hop = 1;; ++hop) {
+    const sim::Time wait = co_await port->transfer(bytes);
     charge_wait(src_host, wait, cls);
+    if (hop == hops) break;
     co_await sim.delay(cfg_.hop_latency);
-    wait = co_await down_[static_cast<std::size_t>(dst_leaf * cfg_.num_core_switches + core)].transfer(bytes);
-    charge_wait(src_host, wait, cls);
-    co_await sim.delay(cfg_.hop_latency);
+    if (hop == hops - 1) {
+      port = &nic_rx_[dst_host];
+    } else if (hop == 1) {
+      core = pick_core(src_host, dst_host);
+      port = &up_[static_cast<std::size_t>(src_leaf * cfg_.num_core_switches + core)];
+    } else {
+      port = &down_[static_cast<std::size_t>(dst_leaf * cfg_.num_core_switches + core)];
+    }
   }
-
-  wait = co_await nic_rx_[dst_host].transfer(bytes);
-  charge_wait(src_host, wait, cls);
 
   dst_ctr.rcv_data += bytes;
   dst_ctr.rcv_pkts += 1;

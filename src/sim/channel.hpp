@@ -22,7 +22,9 @@
 // Hot-path note: waiters are intrusive singly-linked nodes embedded in the
 // awaiter (which lives in the suspended coroutine's frame), and buffered
 // values live in a recycled power-of-two ring — park, wake, and buffered
-// send/recv all run without heap allocation in steady state.
+// send/recv all run without heap allocation in steady state. The ring starts
+// empty and doubles only when the high-water mark rises, so a bounded
+// channel costs what it has held at most, not its bound.
 #pragma once
 
 #include <cassert>
@@ -38,9 +40,10 @@ namespace zipper::sim {
 template <typename T, typename Sched = Simulation>
 class Channel {
  public:
-  /// capacity == 0 means unbounded.
+  /// capacity == 0 means unbounded. The ring allocates nothing up front and
+  /// grows on demand; `capacity` bounds what it buffers, never what it holds.
   explicit Channel(Sched& sched, std::size_t capacity = 0)
-      : sched_(&sched), capacity_(capacity), buffer_(capacity) {}
+      : sched_(&sched), capacity_(capacity) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 

@@ -1,18 +1,15 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 namespace zipper::sim {
 
 Simulation::~Simulation() {
   // Drop any still-queued events first (their coroutines are owned by
-  // roots_ or by parent frames reachable from roots_), then destroy roots.
+  // roots_ or by parent frames reachable from roots_), then destroy the
+  // roots still parked.
   queue_.clear();
-  for (auto h : roots_) {
-    if (h) h.destroy();
-  }
+  roots_.destroy_all();
 }
 
 void Simulation::refill_pool() {
@@ -28,7 +25,7 @@ void Simulation::refill_pool() {
 void Simulation::spawn(Task task) {
   Task::Handle h = task.release();
   assert(h && "spawn of an empty task");
-  roots_.push_back(h);
+  roots_.adopt(h);
   schedule_now(h);
 }
 
@@ -37,23 +34,6 @@ thread_local Simulation* t_current_sim = nullptr;
 }  // namespace
 
 Simulation* Simulation::current() noexcept { return t_current_sim; }
-
-void Simulation::sweep_finished_roots() {
-  for (auto& h : roots_) {
-    if (h && h.done()) {
-      if (h.promise().exception) {
-        std::exception_ptr ex = h.promise().exception;
-        h.destroy();
-        h = nullptr;
-        std::rethrow_exception(ex);
-      }
-      h.destroy();
-      h = nullptr;
-    }
-  }
-  roots_.erase(std::remove(roots_.begin(), roots_.end(), Task::Handle{}),
-               roots_.end());
-}
 
 void Simulation::run_loop(Time deadline) {
   stop_requested_ = false;
@@ -72,11 +52,8 @@ void Simulation::run_loop(Time deadline) {
     now_ = t;
     ++dispatched_;
     h.resume();
-    // Lazily reap finished root frames so multi-million-process benches do
-    // not accumulate unbounded dead frames.
-    if ((dispatched_ & 0xFFFF) == 0) sweep_finished_roots();
   }
-  sweep_finished_roots();
+  roots_.rethrow_failure();
 }
 
 Time Simulation::run() {
@@ -88,14 +65,6 @@ Time Simulation::run_until(Time deadline) {
   run_loop(deadline);
   if (queue_.empty() && now_ < deadline) now_ = deadline;
   return now_;
-}
-
-std::size_t Simulation::unfinished_processes() const {
-  std::size_t n = 0;
-  for (auto h : roots_) {
-    if (h && !h.done()) ++n;
-  }
-  return n;
 }
 
 }  // namespace zipper::sim

@@ -12,6 +12,10 @@
 // so dispatch is exactly (time, scheduling order). Awaiters
 // embed their SchedNode in the coroutine frame, so the steady-state
 // schedule/dispatch path performs no allocation.
+//
+// Memory follows use: spawned roots live in a RootSet (task.hpp) and each
+// one destroys its own frame at the event it finishes in, and channels
+// (channel.hpp) grow their rings on demand up to their bound.
 #pragma once
 
 #include <cassert>
@@ -79,7 +83,8 @@ class Simulation {
   }
 
   /// Detaches `task` as a root simulated process; its first resume is
-  /// scheduled at the current simulated time.
+  /// scheduled at the current simulated time, and its frame is freed at the
+  /// event it finishes in.
   void spawn(Task task);
 
   /// The Simulation currently dispatching events on this thread, or nullptr.
@@ -103,7 +108,8 @@ class Simulation {
   }
 
   /// Runs until the event queue drains. Returns the final simulated time.
-  /// Throws if any root process terminated with an exception.
+  /// A root process that terminates with an exception ends the run after
+  /// its event, and run() rethrows that exception.
   Time run();
 
   /// Makes run()/run_until() return after the current event completes —
@@ -117,8 +123,8 @@ class Simulation {
 
   /// Number of root processes that have not yet finished (useful for
   /// detecting deadlocks after run() returns: parked coroutines hold no
-  /// queued events).
-  std::size_t unfinished_processes() const;
+  /// queued events). O(1): finished roots unlink themselves.
+  std::size_t unfinished_processes() const noexcept { return roots_.size(); }
 
   /// Total number of events dispatched so far.
   std::uint64_t events_dispatched() const noexcept { return dispatched_; }
@@ -148,15 +154,14 @@ class Simulation {
   }
   void refill_pool();
   void run_loop(Time deadline);
-  void sweep_finished_roots();
 
   BucketQueue queue_;
   SchedNode* free_ = nullptr;  // free list of pooled nodes
   std::vector<std::unique_ptr<SchedNode[]>> pool_chunks_;
-  std::vector<Task::Handle> roots_;
   Time now_ = 0;
   std::uint64_t dispatched_ = 0;
   bool stop_requested_ = false;
+  RootSet roots_{stop_requested_};  // a failing root raises stop_requested_
 };
 
 }  // namespace zipper::sim

@@ -1,14 +1,16 @@
 // Unit tests for zipper::common — RNG determinism, streaming statistics,
-// checksums, units.
+// checksums, units, the growable ring buffer.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -147,4 +149,58 @@ TEST(Units, Sizes) {
   EXPECT_EQ(zc::MiB, 1024u * 1024u);
   EXPECT_EQ(zc::GiB, 1024ull * 1024 * 1024);
   EXPECT_DOUBLE_EQ(zc::bytes_per_ns(12.5e9), 12.5);
+}
+
+namespace {
+
+/// Counts, per id, how often a value that was not moved from is destroyed.
+struct Tracked {
+  static inline std::vector<int> destroyed;
+  int id;
+  bool live = true;
+  explicit Tracked(int i) : id(i) {}
+  Tracked(Tracked&& o) noexcept : id(o.id), live(std::exchange(o.live, false)) {}
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (live) ++destroyed[static_cast<std::size_t>(id)];
+  }
+};
+
+}  // namespace
+
+TEST(RingBuffer, GrowsFromEmptyAcrossWraparoundDestroyingEachOnce) {
+  constexpr int kItems = 40;
+  Tracked::destroyed.assign(kItems, 0);
+  std::vector<int> popped;
+  {
+    zc::RingBuffer<Tracked> r;
+    EXPECT_EQ(r.capacity(), 0u);  // nothing allocated until the first push
+    int next = 0;
+    r.emplace_back(next++);
+    EXPECT_EQ(r.capacity(), zc::RingBuffer<Tracked>::kFirstGrowth);
+    // Keep the head moving so every growth copies a wrapped-around run:
+    // push two, pop one, until the last ids are in.
+    while (next < kItems) {
+      r.emplace_back(next++);
+      if (next < kItems) r.emplace_back(next++);
+      popped.push_back(r.front().id);
+      if (popped.size() % 2) {
+        r.pop_front();
+      } else {
+        Tracked t = r.take_front();
+        EXPECT_EQ(t.id, popped.back());
+      }
+      EXPECT_EQ(r.size(), static_cast<std::size_t>(next) - popped.size());
+      EXPECT_LE(r.size(), r.capacity());
+    }
+    EXPECT_GT(r.capacity(), zc::RingBuffer<Tracked>::kFirstGrowth);
+    // What is left is destroyed with the ring.
+    EXPECT_EQ(r.front().id, static_cast<int>(popped.size()));
+  }
+  for (int i = 0; i < static_cast<int>(popped.size()); ++i) {
+    EXPECT_EQ(popped[static_cast<std::size_t>(i)], i);  // FIFO
+  }
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(Tracked::destroyed[static_cast<std::size_t>(i)], 1) << "id " << i;
+  }
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -202,6 +203,9 @@ template <>
 struct Loop<Simulation> {
   static auto pause(Simulation& s, Time d) { return s.delay(d); }
   static void expect_elapsed(Time dt, Time want) { EXPECT_EQ(dt, want); }
+  static std::size_t roots(const Simulation& s) {
+    return s.unfinished_processes();
+  }
 };
 
 template <>
@@ -219,6 +223,7 @@ struct Loop<EpollExecutor> {
     return Pause{ex.sleep_until(ex.now() + d)};
   }
   static void expect_elapsed(Time dt, Time want) { EXPECT_GE(dt, want); }
+  static std::size_t roots(const EpollExecutor& ex) { return ex.roots_alive(); }
 };
 
 template <typename S>
@@ -266,6 +271,21 @@ template <typename S>
 class SemaphoreTest : public Primitives<S> {};
 template <typename S>
 class LatchTest : public Primitives<S> {};
+template <typename S>
+class RootSetTest : public Primitives<S> {};
+
+/// Passed by value to a coroutine, so it lives in the frame until the frame
+/// is destroyed (locals end with the body), and logs that destruction.
+struct FrameProbe {
+  std::vector<std::string>* log;
+  const char* name;
+  FrameProbe(std::vector<std::string>& l, const char* n) : log(&l), name(n) {}
+  FrameProbe(FrameProbe&& o) noexcept
+      : log(std::exchange(o.log, nullptr)), name(o.name) {}
+  ~FrameProbe() {
+    if (log) log->push_back(std::string(name) + " freed");
+  }
+};
 
 }  // namespace
 
@@ -274,6 +294,7 @@ TYPED_TEST_SUITE(MutexTest, Schedulers, SchedulerNames);
 TYPED_TEST_SUITE(CondVarTest, Schedulers, SchedulerNames);
 TYPED_TEST_SUITE(SemaphoreTest, Schedulers, SchedulerNames);
 TYPED_TEST_SUITE(LatchTest, Schedulers, SchedulerNames);
+TYPED_TEST_SUITE(RootSetTest, Schedulers, SchedulerNames);
 
 // ---------------------------------------------------------------- Channel --
 
@@ -438,6 +459,38 @@ TYPED_TEST(ChannelTest, TrySendRespectsCapacity) {
   EXPECT_TRUE(ch.try_send(1));
   EXPECT_FALSE(ch.try_send(2));
   EXPECT_EQ(ch.size(), 1u);
+}
+
+// The ring starts empty and doubles as values arrive; the bound, not the
+// ring, decides when a sender parks.
+TYPED_TEST(ChannelTest, BoundHoldsWhileTheRingGrows) {
+  auto& s = this->s;
+  Chan<TypeParam> ch(s, 256);
+  int sent = 0;
+  std::vector<int> got;
+  s.spawn([](Chan<TypeParam>& c, int& n) -> Task {
+    for (int i = 0; i < 257; ++i) {
+      co_await c.send(i);
+      ++n;
+    }
+  }(ch, sent));
+  s.spawn([](TypeParam& sc, Chan<TypeParam>& c, int& n,
+             std::vector<int>& g) -> Task {
+    co_await pause(sc, 100);
+    EXPECT_EQ(n, 256);  // 256 buffered; the 257th send is parked
+    EXPECT_EQ(c.size(), 256u);
+    EXPECT_FALSE(c.try_send(-1));
+    // Taking the head frees a slot; the parked value fills it at the ring's
+    // wrapped-around end.
+    g.push_back(*c.try_recv());
+    EXPECT_EQ(c.size(), 256u);
+    co_await pause(sc, 100);
+    EXPECT_EQ(n, 257);
+    while (auto v = c.try_recv()) g.push_back(*v);
+  }(s, ch, sent, got));
+  this->run();
+  ASSERT_EQ(got.size(), 257u);
+  for (int i = 0; i < 257; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
 }
 
 // ------------------------------------------------------------------ Mutex --
@@ -620,6 +673,72 @@ TYPED_TEST(LatchTest, WaitAtZeroDoesNotPark) {
   }(latch, passed));
   this->run();
   EXPECT_TRUE(passed);
+}
+
+// ---------------------------------------------------------------- RootSet --
+
+TYPED_TEST(RootSetTest, FinishedRootIsFreedAtItsOwnEvent) {
+  auto& s = this->s;
+  std::vector<std::string> log;
+  s.spawn([](TypeParam& sc, FrameProbe probe) -> Task {
+    co_await pause(sc, 100);
+    probe.log->push_back("early ends");
+  }(s, FrameProbe(log, "early")));
+  s.spawn([](TypeParam& sc, FrameProbe probe) -> Task {
+    EXPECT_EQ(Loop<TypeParam>::roots(sc), 2u);
+    co_await pause(sc, 1000);
+    // The early root's frame went with its last event, before this one.
+    EXPECT_EQ(Loop<TypeParam>::roots(sc), 1u);
+    probe.log->push_back("late wakes");
+  }(s, FrameProbe(log, "late")));
+  this->run();
+  EXPECT_EQ(log, (std::vector<std::string>{"early ends", "early freed",
+                                           "late wakes", "late freed"}));
+  EXPECT_EQ(Loop<TypeParam>::roots(s), 0u);
+}
+
+TYPED_TEST(RootSetTest, ThrowingRootStopsTheRunAtItsEvent) {
+  std::vector<std::string> log;
+  TypeParam s;  // destroyed first: it frees the bystander into `log`
+  s.spawn([](TypeParam& sc, FrameProbe) -> Task {
+    co_await pause(sc, 100);
+    throw std::logic_error("root failure");
+  }(s, FrameProbe(log, "thrower")));
+  // Due after the thrower: on the DES at a later time, on the epoll loop
+  // possibly in the same ready batch. Either way it must not run.
+  s.spawn([](TypeParam& sc, FrameProbe probe) -> Task {
+    co_await pause(sc, 200);
+    probe.log->push_back("bystander wakes");
+  }(s, FrameProbe(log, "bystander")));
+  EXPECT_THROW(s.run(), std::logic_error);
+  EXPECT_EQ(log, (std::vector<std::string>{"thrower freed"}));
+  EXPECT_EQ(Loop<TypeParam>::roots(s), 1u);
+}
+
+TYPED_TEST(RootSetTest, ParkedRootsAreFreedByTheDestructor) {
+  std::vector<std::string> log;
+  {
+    TypeParam s;
+    Chan<TypeParam> never(s);
+    for (const char* name : {"first", "second"}) {
+      s.spawn([](Chan<TypeParam>& ch, FrameProbe probe) -> Task {
+        // A parked child frame goes with its parent's.
+        co_await [](Chan<TypeParam>& c, FrameProbe) -> Task {
+          co_await c.recv();
+        }(ch, FrameProbe(*probe.log, "child"));
+      }(never, FrameProbe(log, name)));
+    }
+    if constexpr (std::is_same_v<TypeParam, Simulation>) {
+      s.run();
+    } else {
+      EXPECT_THROW(s.run(), std::runtime_error);  // parked, nothing to wake
+    }
+    EXPECT_EQ(Loop<TypeParam>::roots(s), 2u);
+    EXPECT_TRUE(log.empty());
+  }
+  // Spawn order, each root after the child it awaits.
+  EXPECT_EQ(log, (std::vector<std::string>{"child freed", "first freed",
+                                           "child freed", "second freed"}));
 }
 
 // ---------------------------------------------------------------- Resource --
