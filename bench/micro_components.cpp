@@ -16,7 +16,6 @@
 #include "apps/synthetic.hpp"
 #include "common/rng.hpp"
 #include "core/exec/epoll.hpp"
-#include "core/exec/threaded.hpp"
 #include "core/exec/virtual_time.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
@@ -162,11 +161,9 @@ static void BM_ChannelPingPong(benchmark::State& state) {
 BENCHMARK(BM_ChannelPingPong)->Arg(64)->Arg(1024);
 
 // The same request/reply shape through the unified execution layer
-// (core/exec), one bench per executor. The virtual variant must match the
-// raw-kernel ping-pong above — the VirtualTimeExecutor veneer is required to
-// be zero-cost, so any gap here is a regression in the unified channel path
-// feeding the DES kernel. The threaded variant prices the real park/wake
-// handoff (mutex + condvar) the RunInCoro awaitables pay per transfer.
+// (core/exec). It must match the raw-kernel ping-pong above — the
+// VirtualTimeExecutor veneer is required to be zero-cost, so any gap here is
+// a regression in the unified channel path feeding the DES kernel.
 static void BM_ExecChannelPingPongVirtual(benchmark::State& state) {
   constexpr int kPairs = 64;
   constexpr int kRounds = 100;
@@ -200,43 +197,6 @@ static void BM_ExecChannelPingPongVirtual(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPairs * kRounds);
 }
 BENCHMARK(BM_ExecChannelPingPongVirtual)->Name("BM_ExecChannelPingPong/virtual");
-
-static void BM_ExecChannelPingPongThreaded(benchmark::State& state) {
-  constexpr int kPairs = 2;  // each coroutine occupies one worker thread
-  constexpr int kRounds = 512;
-  using core::exec::ThreadPoolExecutor;
-  using core::exec::TpChannel;
-  struct Duo {
-    TpChannel<int> ping, pong;
-    explicit Duo(ThreadPoolExecutor& e) : ping(e, 1), pong(e, 1) {}
-  };
-  for (auto _ : state) {
-    ThreadPoolExecutor ex;
-    std::vector<std::unique_ptr<Duo>> duos;
-    for (int i = 0; i < kPairs; ++i) duos.push_back(std::make_unique<Duo>(ex));
-    for (int i = 0; i < kPairs; ++i) {
-      Duo& d = *duos[static_cast<std::size_t>(i)];
-      ex.spawn([](Duo& du) -> sim::Task {  // client
-        for (int k = 0; k < kRounds; ++k) {
-          co_await du.ping.send(k);
-          co_await du.pong.recv();
-        }
-      }(d));
-      ex.spawn([](Duo& du) -> sim::Task {  // server
-        for (int k = 0; k < kRounds; ++k) {
-          co_await du.ping.recv();
-          co_await du.pong.send(k);
-        }
-      }(d));
-    }
-    ex.shutdown();  // workers drain the queue and finish every round trip
-  }
-  state.SetItemsProcessed(state.iterations() * kPairs * kRounds);
-}
-// UseRealTime: the round trips happen on pool workers, not the bench thread.
-BENCHMARK(BM_ExecChannelPingPongThreaded)
-    ->Name("BM_ExecChannelPingPong/threaded")
-    ->UseRealTime();
 
 // The same shape once more on the EpollExecutor (core/exec/epoll), the
 // real-I/O loop behind zipperd. The channel is sim::Channel itself on the

@@ -1,12 +1,14 @@
 #include "core/exec/epoll.hpp"
 
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -32,21 +34,28 @@ EpollExecutor::EpollExecutor() {
   if (epfd_ < 0) throw_errno("epoll_create1");
   timerfd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
   if (timerfd_ < 0) throw_errno("timerfd_create");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = timerfd_;
-  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, timerfd_, &ev) < 0) {
-    throw_errno("epoll_ctl(timerfd)");
+  wakefd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wakefd_ < 0) throw_errno("eventfd");
+  for (const int fd : {timerfd_, wakefd_}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      throw_errno("epoll_ctl(internal fd)");
+    }
   }
   t0_ = raw_now();
 }
 
 EpollExecutor::~EpollExecutor() {
+  // A blocking call in flight works on a parked frame: finish it first.
+  worker_ = {};
   // Destroy leftover root frames (suspended coroutines abandoned by an
   // exception or an early teardown). Parked waitlist entries in channels and
   // fd records reference these frames but are never resumed again; frame
   // destruction recursively frees nested child frames via their awaiters.
   roots_.destroy_all();
+  if (wakefd_ >= 0) ::close(wakefd_);
   if (timerfd_ >= 0) ::close(timerfd_);
   if (epfd_ >= 0) ::close(epfd_);
 }
@@ -57,6 +66,59 @@ void EpollExecutor::spawn(sim::Task t) {
   roots_.adopt(h);
   schedule(h);
 }
+
+void EpollExecutor::post(std::coroutine_handle<> h) {
+  bool was_empty;
+  {
+    std::lock_guard lk(remote_m_);
+    was_empty = remote_.empty();
+    remote_.push_back(h);
+  }
+  if (was_empty) {
+    // The loop drains the list after reading the eventfd, so a post that
+    // lands after that read finds the list empty again and writes anew.
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t r = ::write(wakefd_, &one, sizeof(one));
+  }
+}
+
+void EpollExecutor::drain_remote() {
+  std::uint64_t ticks = 0;
+  [[maybe_unused]] ssize_t r = ::read(wakefd_, &ticks, sizeof(ticks));
+  {
+    std::lock_guard lk(remote_m_);
+    remote_batch_.swap(remote_);  // both keep their capacity: no allocation
+  }
+  for (auto h : remote_batch_) schedule(h);
+  remote_batch_.clear();
+}
+
+void EpollExecutor::submit(BlockingAwaiter* call) {
+  add_remote_waiter();
+  std::lock_guard lk(calls_m_);
+  if (!worker_.joinable()) {
+    worker_ = std::jthread([this](std::stop_token stop) { work(stop); });
+  }
+  calls_.push_back(call);
+  calls_cv_.notify_one();
+}
+
+void EpollExecutor::work(std::stop_token stop) {
+  std::unique_lock lk(calls_m_);
+  while (calls_cv_.wait(lk, stop, [&] { return !calls_.empty(); })) {
+    BlockingAwaiter* call = calls_.front();
+    calls_.pop_front();
+    lk.unlock();
+    try {
+      call->fn();
+    } catch (...) {
+      call->error = std::current_exception();
+    }
+    post(call->h);  // `call` lives in the frame this resumes: last use
+    lk.lock();
+  }
+}
+
 
 void EpollExecutor::arm_io(IoAwaiter* aw, std::coroutine_handle<> h) {
   auto [it, fresh] = fd_waits_.try_emplace(aw->fd);
@@ -154,16 +216,18 @@ void EpollExecutor::run() {
   stop_ = false;
   while (true) {
     drain_ready();
+    if (stop_) worker_ = {};  // no blocking call outlives a failed run()
     roots_.rethrow_failure();
     if (roots_.empty()) return;
 
     // Park on epoll until an fd or the nearest timer fires. Timer deadlines
     // are absolute CLOCK_MONOTONIC via TFD_TIMER_ABSTIME, so ns-granular
     // sleeps don't round through epoll_wait's millisecond timeout.
-    if (timers_.empty() && fd_waits_.empty()) {
+    if (timers_.empty() && fd_waits_.empty() && remote_waiters_ == 0) {
       throw std::runtime_error(
           "EpollExecutor: deadlock — " + std::to_string(roots_.size()) +
-          " root coroutine(s) parked with no timer or fd to wake them");
+          " root coroutine(s) parked with no timer, fd or other thread to "
+          "wake them");
     }
     itimerspec its{};
     if (!timers_.empty()) {
@@ -189,6 +253,10 @@ void EpollExecutor::run() {
         std::uint64_t ticks = 0;
         [[maybe_unused]] ssize_t r =
             ::read(timerfd_, &ticks, sizeof(ticks));  // rearm; value unused
+        continue;
+      }
+      if (evs[i].data.fd == wakefd_) {
+        drain_remote();
         continue;
       }
       dispatch_fd(evs[i].data.fd, evs[i].events);

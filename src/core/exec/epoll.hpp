@@ -1,11 +1,11 @@
 // EpollExecutor: the unified-execution adapter over a real event loop.
 //
-// The third executor style (docs/runtime.md): a single-threaded epoll loop
-// whose awaitables *genuinely suspend* — like the virtual-time executor and
-// unlike the ThreadPoolExecutor's RunInCoro blocking idiom. A coroutine that
-// would block parks its handle on a waitlist (fd readiness, timer heap, or a
-// primitive's queue) and the loop resumes it when the event fires, so one OS
-// thread multiplexes thousands of concurrent coupling sessions.
+// One of the two executors (docs/runtime.md): a single-threaded epoll loop
+// whose awaitables *genuinely suspend*, like the virtual-time executor's. A
+// coroutine that would block parks its handle on a waitlist (fd readiness,
+// timer heap, or a primitive's queue) and the loop resumes it when the event
+// fires, so one OS thread multiplexes thousands of concurrent coupling
+// sessions (zipperd) or every endpoint of an in-process core::rt::Runtime.
 //
 // Contract surface (core/exec):
 //   spawn(Task)        — detach a root coroutine; the executor owns its frame
@@ -23,15 +23,22 @@
 // instantiated on EpollExecutor are the very code the DES runs.
 //
 // Threading: the loop, every primitive, and every spawned coroutine run on
-// the thread that calls run(). Nothing here is thread-safe; cross-thread
-// wake-ups go through an eventfd watched with wait_readable() (a write() is
-// async-signal-safe, which is also how SIGTERM reaches the zipperd loop).
+// the thread that calls run(). The one thread-safe entry is post(h), which
+// exec::Handoff (handoff.hpp) and blocking(fn) build on. A signal handler
+// must not post (it takes a mutex); zipperd's SIGTERM writes an eventfd
+// watched with wait_readable().
 #pragma once
 
+#include <condition_variable>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <queue>
+#include <stop_token>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +69,18 @@ class EpollExecutor {
 
   /// Resumes `h` on the next loop turn; must be called from the loop thread.
   void schedule(std::coroutine_handle<> h) { ready_.push_back(h); }
+
+  /// Thread-safe: resumes the parked `h` on the loop thread, in post order.
+  /// A mutex-guarded list plus an eventfd watched next to the timerfd; the
+  /// eventfd is written only when the list goes from empty to non-empty (a
+  /// burst costs one wake), and the loop drains the list once per turn.
+  void post(std::coroutine_handle<> h);
+
+  /// Loop thread: a coroutine parks (add) or resumes (remove) waiting for
+  /// another thread to post() it; meanwhile an otherwise idle loop sleeps
+  /// instead of reporting a deadlock.
+  void add_remote_waiter() noexcept { ++remote_waiters_; }
+  void remove_remote_waiter() noexcept { --remote_waiters_; }
 
   /// The shared primitives' wake hooks (sim/sync.hpp). The loop copies the
   /// handle out, so the node is free as soon as the call returns.
@@ -110,6 +129,33 @@ class EpollExecutor {
   /// fd from the epoll set. Call before close()ing a watched fd.
   void cancel_fd(int fd);
 
+  // ------------------------------------------------------ blocking calls ----
+
+  /// Awaitable: runs `fn` on the loop's file worker thread, then resumes the
+  /// caller on the loop; an exception from `fn` rethrows there. For file
+  /// calls, which block (creating a file takes ~20 to over 500 µs on ext4)
+  /// and on the loop would stall every coroutine. The one worker runs calls
+  /// in order, starts at the first, and stops (dropping calls not yet
+  /// started) before run() rethrows a failure and in ~EpollExecutor.
+  struct BlockingAwaiter {
+    EpollExecutor* ex;
+    std::function<void()> fn;
+    std::exception_ptr error{};
+    std::coroutine_handle<> h{};
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> c) {
+      h = c;
+      ex->submit(this);
+    }
+    void await_resume() {
+      ex->remove_remote_waiter();
+      if (error) std::rethrow_exception(error);
+    }
+  };
+  BlockingAwaiter blocking(std::function<void()> fn) {
+    return {this, std::move(fn)};
+  }
+
   /// Runs the loop until every root coroutine finished. A root exception
   /// ends the loop after that resume and rethrows (remaining roots are
   /// destroyed by ~). Finished roots free themselves as they end.
@@ -138,9 +184,13 @@ class EpollExecutor {
   void dispatch_fd(int fd, std::uint32_t events);
   void expire_timers();
   void drain_ready();
+  void drain_remote();
+  void submit(BlockingAwaiter* call);
+  void work(std::stop_token stop);
 
   int epfd_ = -1;
   int timerfd_ = -1;
+  int wakefd_ = -1;  // eventfd behind post()
   sim::Time t0_ = 0;
   std::deque<std::coroutine_handle<>> ready_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
@@ -148,6 +198,14 @@ class EpollExecutor {
       timers_;
   std::uint64_t timer_seq_ = 0;
   std::unordered_map<int, FdWait> fd_waits_;
+  std::size_t remote_waiters_ = 0;
+  std::mutex remote_m_;
+  std::vector<std::coroutine_handle<>> remote_;  // guarded by remote_m_
+  std::vector<std::coroutine_handle<>> remote_batch_;  // loop thread only
+  std::mutex calls_m_;
+  std::condition_variable_any calls_cv_;
+  std::deque<BlockingAwaiter*> calls_;  // guarded by calls_m_
+  std::jthread worker_;  // runs blocking() calls; `= {}` stops and joins it
   bool stop_ = false;  // a root failed: drain_ready stops at once
   sim::RootSet roots_{stop_};
 };

@@ -1,4 +1,4 @@
-// The unified execution layer: one awaitable contract, three executors.
+// The unified execution layer: one awaitable contract, two executors.
 //
 // The zipper application body (core/zipper/body.hpp) is written exactly once
 // against this contract and instantiated per executor *binding*:
@@ -8,33 +8,31 @@
 //     existing sim primitives, so the body expands to the same (time, seq)
 //     event sequence the pre-refactor SimZipper produced — the golden-digest
 //     byte-identity oracle pins this down.
-//   * EpollExecutor (epoll.hpp) is a single-threaded loop over real sockets
-//     and timers behind zipperd. Its sync primitives are the same sim
-//     templates (sim/{channel,sync,latch}.hpp) instantiated on the loop,
-//     which supplies their two wake hooks; awaitables genuinely suspend.
-//   * ThreadPoolExecutor (threaded.hpp) is a TaskProcessor-style worker pool
-//     with a monotonic clock and parking-lot wakeups. Its awaitables complete
-//     the blocking operation inside await_ready() and never suspend, so each
-//     spawned coroutine occupies one worker for its lifetime — the
-//     RunInCoro idiom: coroutine-shaped code over real blocking threads.
+//   * EpollExecutor (epoll.hpp) is a single-threaded loop over real sockets,
+//     timers and files: behind zipperd, and behind the in-process
+//     core::rt::Runtime on a loop thread the Runtime owns. Its sync
+//     primitives are the same sim templates (sim/{channel,sync,latch}.hpp)
+//     instantiated on the loop, which supplies their two wake hooks;
+//     awaitables genuinely suspend. Application threads reach the loop only
+//     through exec::Handoff (handoff.hpp), built on EpollExecutor::post().
 //
 // An executor binding `B` provides:
 //   B::Task                 coroutine task type (sim::Task works for both)
 //   B::Time                 clock type, ns (sim::Time for both)
 //   B::Ctx                  primitive-construction context (Simulation& /
-//                           EpollExecutor& / ThreadPoolExecutor&)
+//                           EpollExecutor&)
 //   B::Mutex / B::CondVar / B::Latch     awaitable sync primitives
 //   B::Channel<T>           bounded MPMC channel (awaitable send/recv)
 //   B::RawMutex             non-suspending lockable guarding plain shared
-//                           state (a no-op under virtual time, where one
-//                           event never interleaves with another)
+//                           state (a no-op on both executors, where one
+//                           event or one loop step runs at a time)
 //   B::Payload              per-block payload (empty under virtual time,
-//                           shared_ptr<Block> on threads and sockets)
+//                           shared_ptr<Block> on the epoll loop)
 //   B::Span                 RAII trace span on the binding's clock
 //   B::Env                  the environment: spawn/now/sleep plus the
 //                           transport + file-system effect operations
 //   B::kConsumersMayAbandon whether an external application thread can stop
-//                           draining a consumer mid-run (threads: yes)
+//                           draining a consumer mid-run (core::rt: yes)
 #pragma once
 
 #include <cstdint>
@@ -65,7 +63,7 @@ struct RankStats {
 /// Whole-instance aggregate counters, identical in name and meaning to the
 /// historical SimZipperStats (core/dsim aliases this struct, so the workflow
 /// metric formulas are untouched). Times are on the binding's clock:
-/// simulated ns under virtual time, monotonic ns under threads.
+/// simulated ns under virtual time, monotonic ns on the epoll loop.
 struct AggregateStats {
   sim::Time producer_stall = 0;  // put blocked on a full buffer
   sim::Time sender_busy = 0;     // data-transfer time on sender tasks

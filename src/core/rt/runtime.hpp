@@ -1,4 +1,4 @@
-// The Zipper runtime — real multi-threaded implementation.
+// The Zipper runtime — the in-process implementation for real threads.
 //
 // This is the embeddable library form of the paper's contribution: it couples
 // a group of producer endpoints (simulation threads/ranks) with a group of
@@ -10,19 +10,18 @@
 //     writer coroutine --(spill files)---->   reader coroutine
 //                                             output coroutine (Preserve mode)
 //
-// Since the coroutine-native unification this is a thin facade: the
-// application logic lives in core/zipper/ZipperBody — the same body the
-// discrete-event runtime instantiates — bound here to the
-// core/exec/ThreadPoolExecutor (worker threads, monotonic clock, blocking
-// channels) through RtEnv. The "low-latency HPC network" is an in-process
-// message channel (optionally throttled to a configurable bandwidth so the
-// dual-channel behaviour can be observed on one machine), and the "parallel
-// file system" is a spill directory on the real file system. Mixed messages
-// carry one data block plus the IDs of blocks the writer spilled to disk,
-// exactly as in the paper; the consumer's reader fetches those from the spill
-// directory.
+// A thin facade: the application logic is core/zipper's ZipperBody — the
+// body the discrete-event runtime and zipperd instantiate — on one
+// EpollExecutor loop thread the Runtime owns, through NetEnv with no wire.
+// Application threads cross into the loop through exec::Handoff. The
+// "low-latency HPC network" is an in-process message channel (optionally
+// throttled, so the dual-channel behaviour shows on one machine) and the
+// "parallel file system" a spill directory, written and read by the loop's
+// file worker. Mixed messages carry one data block plus the IDs of blocks
+// the writer spilled, exactly as in the paper.
 //
 // API (paper §4.1):  producer(i).write(id, data, bytes)  /  consumer(j).read().
+// Each endpoint is driven by one application thread at a time.
 //
 // Modes: kPreserve keeps every block on disk under `preserve_dir` (a block is
 // freed only once analyzed *and* persisted — enforced by shared ownership);
@@ -44,13 +43,6 @@
 #include "sim/time.hpp"
 #include "trace/recorder.hpp"
 
-namespace zipper::core::zbody {
-struct RtBinding;
-class RtEnv;
-template <class B>
-class ZipperBody;
-}  // namespace zipper::core::zbody
-
 namespace zipper::core::rt {
 
 enum class Mode { kNoPreserve, kPreserve };
@@ -62,7 +54,7 @@ struct Config {
   Mode mode = Mode::kNoPreserve;
   std::filesystem::path spill_dir;     // stands in for the parallel file system
   std::filesystem::path preserve_dir;  // Preserve-mode output location
-  /// Simulated network bandwidth in bytes/s shared by all sender threads;
+  /// Simulated network bandwidth in bytes/s shared by all producers;
   /// 0 = unthrottled. Lets single-machine demos reproduce producer stalls.
   double network_bandwidth = 0.0;
   std::size_t net_channel_blocks = 64;       // per-consumer in-flight bound
@@ -78,8 +70,8 @@ struct Config {
   /// Chaos injection (core/chaos): when chaos.any(), the runtime builds a
   /// seeded ChaosEngine over `chaos_horizon_s` of wall time. Consumers hit
   /// by the straggler/fault axes serve each received block
-  /// `chaos_block_service_ns x (slowdown - 1)` slower (real sleeps on the
-  /// receiver worker); drift is app-driven via Runtime::chaos(). Defaults
+  /// `chaos_block_service_ns x (slowdown - 1)` slower (real timer sleeps on
+  /// the loop); drift is app-driven via Runtime::chaos(). Defaults
   /// leave the schedule untouched.
   chaos::ChaosSpec chaos;
   std::uint64_t chaos_block_service_ns = 0;  // base per-block service time
@@ -118,12 +110,16 @@ class ProducerEndpoint {
  public:
   ProducerEndpoint() = default;
 
-  /// Zipper.write(block_id, data, block_size): copies `data` into the
-  /// producer buffer; may stall while the buffer is full.
+  /// Zipper.write(block_id, data, block_size): copies `data` into a block,
+  /// hands it to the loop and returns. Blocks while the previous block's put
+  /// is parked on a full producer buffer (a genuine stall), or while
+  /// producer_buffer_blocks blocks wait for a busy loop. Throws if the
+  /// runtime failed.
   void write(BlockId id, std::span<const std::byte> data,
              std::uint64_t offset = 0);
   /// Signals end-of-stream for this producer; drains its sender and writer
-  /// services, then flushes the end-of-stream control message.
+  /// services, then flushes the end-of-stream control message. Throws a
+  /// spill-file I/O error, or the error the runtime failed with.
   void finish();
 
   /// The BlockSizer's advice for the next write() granularity, fed this
@@ -150,6 +146,11 @@ class ConsumerEndpoint {
   /// yet. With sched.consumer_steal enabled, an idle consumer pulls whole
   /// ready blocks from the deepest-queued peer, and its stream ends only
   /// once *every* consumer's buffer has drained.
+  /// While the application works on a block, the loop fetches the next one
+  /// out of the consumer buffer: a consumer that has called read() holds at
+  /// most one block in hand (peers cannot steal it), one that never did
+  /// holds none. Throws a spill-file I/O error rather than hand out a block
+  /// it could not read back, or the error the runtime failed with.
   std::shared_ptr<const Block> read();
 
   ConsumerStats stats() const;
@@ -158,12 +159,17 @@ class ConsumerEndpoint {
   friend class Runtime;
   Runtime* rt_ = nullptr;
   int index_ = -1;
+  bool started_ = false;
   bool ended_ = false;
 };
 
 class Runtime {
  public:
+  /// Starts the loop thread, the one OS thread the Runtime adds until the
+  /// first spill or preserve file starts the loop's file worker.
   Runtime(int num_producers, int num_consumers, Config config);
+  /// Ends unfinished producers, drains consumers that stopped reading (or
+  /// never read), stops the controller and joins the loop thread.
   ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -174,7 +180,9 @@ class Runtime {
   int num_consumers() const noexcept { return static_cast<int>(consumers_.size()); }
   const Config& config() const noexcept { return config_; }
 
-  /// Blocks until all producers finished and all consumers drained.
+  /// Blocks until every consumer read its stream to the end and its
+  /// services (Preserve-mode output included) finished. Throws a spill-file
+  /// I/O error, or the error the runtime failed with.
   void wait_idle();
 
   /// The chaos oracle driving this runtime's injection, or null when
@@ -185,11 +193,11 @@ class Runtime {
  private:
   friend class ProducerEndpoint;
   friend class ConsumerEndpoint;
+  struct Loop;  // the loop thread with its executor, env, body and hand-offs
 
   Config config_;
   std::shared_ptr<const chaos::ChaosEngine> chaos_;
-  std::unique_ptr<zbody::RtEnv> env_;
-  std::unique_ptr<zbody::ZipperBody<zbody::RtBinding>> body_;
+  std::unique_ptr<Loop> loop_;
   std::vector<ProducerEndpoint> producers_;
   std::vector<ConsumerEndpoint> consumers_;
 };

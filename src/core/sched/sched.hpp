@@ -25,9 +25,10 @@
 //
 // A SchedContext carries the tiny amount of shared runtime state the
 // policies consult (per-consumer outstanding-block counts, per-producer
-// cumulative stall). Counters are atomics so the threaded runtime can update
-// them lock-free; in the single-threaded DES they are touched in a
-// deterministic order, preserving the (time, seq) determinism contract.
+// cumulative stall). Counters are atomics so application threads can read
+// them while the epoll loop updates them; in the single-threaded DES they are
+// touched in a deterministic order, preserving the (time, seq) determinism
+// contract.
 //
 // Default selections (static route, high-water spill, fixed blocks, no
 // consumer stealing) reproduce the pre-refactor schedule decision-for-

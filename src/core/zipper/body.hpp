@@ -7,15 +7,17 @@
 // stealing, and the online AdaptiveController loop — lives in this one
 // class template, parameterized only by an executor binding (core/exec).
 //
-//   ZipperBody<VtBinding>  runs on the deterministic DES kernel and expands
-//                          to the same (time, seq) event sequence as the
-//                          historical core/dsim implementation (the golden
-//                          figure digests pin this byte-for-byte);
-//   ZipperBody<RtBinding>  runs on the ThreadPoolExecutor with real blocking
-//                          channels, real spill files and a monotonic clock.
+//   ZipperBody<VtBinding>   runs on the deterministic DES kernel and expands
+//                           to the same (time, seq) event sequence as the
+//                           historical core/dsim implementation (the golden
+//                           figure digests pin this byte-for-byte);
+//   ZipperBody<NetBinding>  runs on one EpollExecutor loop with real bytes,
+//                           real spill files and a monotonic clock: split
+//                           across processes over TCP (zipperd) or whole in
+//                           one process (core/rt/Runtime).
 //
 // core/sched and core/chaos are consulted from here and only here; the
-// facades (core/dsim/SimZipper, core/rt/Runtime) contain no policy.
+// facades (core/dsim/SimZipper, core/rt/Runtime, zipperd) contain no policy.
 //
 // The template is explicitly instantiated in body.cpp — the single
 // translation unit both executors consult (the binding headers declare the
@@ -61,7 +63,7 @@ struct BodyConfig {
   sched::SchedConfig sched;
 
   /// Bytes one producer emits per workload step (drives the step-put split;
-  /// 0 under the threaded runtime, whose application chooses write() sizes).
+  /// 0 under core/rt, whose application chooses write() sizes).
   std::uint64_t step_bytes = 0;
 
   /// Trace/world rank of producer 0 and consumer 0.
@@ -83,8 +85,8 @@ struct BodyConfig {
 };
 
 /// One block inside the body: its self-describing header plus whatever the
-/// binding attaches (nothing under virtual time, the real bytes under
-/// threads).
+/// binding attaches (nothing under virtual time, the real bytes on the
+/// epoll loop).
 template <class B>
 struct Item {
   BlockHeader h;
@@ -104,9 +106,9 @@ struct Mixed {
 
 namespace detail {
 
-/// Aggregate counters as relaxed atomics: the threaded instantiation updates
-/// them from many workers; under virtual time the single-threaded event loop
-/// touches them in deterministic order.
+/// Aggregate counters as relaxed atomics: the loop updates them while
+/// application threads read stats(); under virtual time the single-threaded
+/// event loop touches them in deterministic order.
 struct AtomicAggregate {
   std::atomic<sim::Time> producer_stall{0}, sender_busy{0}, writer_busy{0},
       analysis_busy{0}, store_busy{0};
@@ -192,6 +194,9 @@ class ZipperBody {
   Task wait_sender_done(int p);
   /// The BlockSizer's advice for the next put granularity.
   std::uint64_t suggested_block_bytes(int p);
+  /// True while producer p's buffer is full, so a put would park (a stall).
+  /// Scheduler thread only.
+  bool producer_buffer_full(int p) const;
 
   // -- consumer side --------------------------------------------------------
   /// Acquires the next block for consumer c (own buffer, steal, or drain),
@@ -199,16 +204,12 @@ class ZipperBody {
   /// enqueue). Leaves `out` empty at end-of-stream.
   Task consumer_next(int c, std::optional<ItemT>& out);
   /// Full consumer process: services + acquire/analyze loop (the virtual
-  /// time driver; the threaded facade pulls consumer_next from read()).
+  /// time and zipperd driver; core/rt pulls consumer_next from read()).
   Task consumer_run(int c);
-  /// Closes consumer c's Preserve queue (threaded end-of-stream path).
+  /// Closes consumer c's Preserve queue (core/rt end-of-stream path).
   void close_consumer_output(int c);
   /// Completes when consumer c's receiver/reader/output services finished.
   Task wait_consumer_services(int c);
-
-  // -- shutdown (threaded facade) -------------------------------------------
-  /// Unblocks every consumer-side stage (emergency teardown).
-  void emergency_close_consumers();
 
   // -- observability --------------------------------------------------------
   void aggregate_into(exec::AggregateStats& out) const { agg_.snapshot(out); }

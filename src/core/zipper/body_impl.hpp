@@ -36,8 +36,8 @@ struct ZipperBody<B>::Producer {
   typename B::Latch writer_done;
   typename B::Latch sender_done;  // sender flushed its done messages
   // Spilled headers per consumer, drained into mixed messages. Guarded by the
-  // binding's RawMutex: a real lock under threads (writer vs sender vs
-  // finalize), a no-op under virtual time where events never interleave.
+  // binding's RawMutex, a no-op on both executors: one loop or one event
+  // runs at a time, so writer, sender and finalize never interleave here.
   typename B::RawMutex spill_m;
   std::map<int, std::vector<BlockHeader>> spilled;
 };
@@ -243,6 +243,12 @@ std::uint64_t ZipperBody<B>::suggested_block_bytes(int p) {
 }
 
 template <class B>
+bool ZipperBody<B>::producer_buffer_full(int p) const {
+  const Producer& pm = *producers_[static_cast<std::size_t>(p)];
+  return pm.q.size() >= pm.spill.capacity();
+}
+
+template <class B>
 typename B::Task ZipperBody<B>::sender_main(int p) {
   Producer& pm = *producers_[static_cast<std::size_t>(p)];
   detail::AtomicRankStats& rs = prank_stats_[static_cast<std::size_t>(p)];
@@ -380,7 +386,7 @@ typename B::Task ZipperBody<B>::control_main() {
   std::uint64_t last_stall = 0;
   std::uint64_t last_analyzed = 0;
   // Runs until stopped: externally (virtual time — the workflow's finish
-  // watcher halts the simulation) or via the env's stop flag (threads).
+  // watcher halts the simulation) or via the env's stop flag (epoll loop).
   while (true) {
     bool alive = false;
     co_await env_->control_tick(cfg_.control_interval, alive);
@@ -439,7 +445,7 @@ typename B::Task ZipperBody<B>::receiver_main(int c) {
   while (done < cm.expected_producers) {
     std::optional<MixedT> msg;
     co_await env_->recv_mixed(c, msg);
-    if (!msg) break;  // transport closed (threaded shutdown)
+    if (!msg) break;  // transport closed (session end or runtime teardown)
     for (const BlockHeader& h : msg->ids_on_disk) co_await cm.reader_q.send(h);
     if (msg->has_block) {
       // Straggler / fault injection lands here: the consumer-side unpack and
@@ -635,15 +641,6 @@ template <class B>
 typename B::Task ZipperBody<B>::wait_consumer_services(int c) {
   Consumer& cm = *consumers_[static_cast<std::size_t>(c)];
   co_await cm.services_done.wait();
-}
-
-template <class B>
-void ZipperBody<B>::emergency_close_consumers() {
-  for (auto& cm : consumers_) {
-    cm->buffer.close();
-    cm->reader_q.close();
-    cm->output_q.close();
-  }
 }
 
 }  // namespace zipper::core::zbody

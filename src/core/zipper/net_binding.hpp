@@ -1,9 +1,8 @@
-// Network binding: runs ZipperBody over real sockets on the EpollExecutor.
+// Network binding: runs ZipperBody on the EpollExecutor, over real sockets
+// or in one process.
 //
-// The third instantiation (after VtBinding and RtBinding): producers live in
-// the client process, consumers in the zipperd daemon, and every mixed
-// message crosses a localhost TCP connection as a length-prefixed frame
-// (net_frame.hpp). One NetEnv instance serves one side of one session:
+// The second instantiation next to VtBinding. One NetEnv instance serves one
+// side of one coupling:
 //
 //   * client role — attach_wire() hands it the connected socket; send_mixed/
 //     send_done serialize frames and write them through the epoll loop
@@ -13,26 +12,34 @@
 //     exactly-once guarantee holds across processes.
 //   * daemon role — the session demux decodes frames and deliver_mixed()s
 //     them into per-consumer channels; recv_mixed is a channel recv. EOF
-//     or a frame error closes the queues and the body unwinds exactly like
-//     the threaded shutdown path.
+//     or a frame error closes the queues and the body unwinds through its
+//     end-of-stream path.
+//   * in-process (core::rt::Runtime) — no wire: send_mixed delivers into the
+//     local consumer channel, throttled by the network_bandwidth bucket.
 //
 // A hard socket error on the client marks the wire broken and turns further
 // sends into no-ops instead of throwing: the body's senders finish, the
 // session layer sees wire_error() and reports the failure — one dead session
-// cannot take down a load driver multiplexing thousands.
+// cannot take down a load driver multiplexing thousands. Spill and preserve
+// file errors likewise only mark io_error(); the in-process Runtime turns a
+// marked error into an exception before it hands out another block.
 //
-// Everything runs on one epoll loop thread, so RawMutex is the no-op lock
-// (the spilled-map critical sections contain no co_await) and span recording
-// needs no serialization.
+// Everything but the file calls runs on one epoll loop thread, so RawMutex is
+// the no-op lock (the spilled-map critical sections contain no co_await) and
+// span recording needs no serialization.
 #pragma once
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +48,6 @@
 #include "core/exec/virtual_time.hpp"  // exec::NullMutex
 #include "core/zipper/body.hpp"
 #include "core/zipper/net_frame.hpp"
-#include "core/zipper/rt_binding.hpp"  // rtdetail:: file helpers
 #include "sim/channel.hpp"
 #include "sim/latch.hpp"
 #include "sim/sync.hpp"
@@ -82,12 +88,14 @@ struct NetBinding {
   using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = sim::Channel<T, exec::EpollExecutor>;
-  /// Real blocks carry their bytes across the wire.
+  /// Real blocks carry their bytes; shared ownership enforces the Preserve
+  /// guarantee (a block is freed only once analyzed *and* persisted).
   using Payload = std::shared_ptr<Block>;
   using Span = NetSpan;
   using Env = NetEnv;
-  /// Daemon consumers are loop coroutines that always drain.
-  static constexpr bool kConsumersMayAbandon = false;
+  /// An in-process application thread may stop calling read() mid-run;
+  /// drain-mode stealing takes closed peers' leftovers at any depth.
+  static constexpr bool kConsumersMayAbandon = true;
 };
 
 struct NetEnvConfig {
@@ -98,7 +106,51 @@ struct NetEnvConfig {
   std::uint64_t chaos_block_service_ns = 0;
   std::uint64_t analysis_ns_per_block = 0;
   trace::Recorder* recorder = nullptr;
+  /// Bytes/s shared by every sender of this env, 0 = unthrottled. Lets
+  /// single-machine runs reproduce producer stalls.
+  double network_bandwidth = 0.0;
 };
+
+/// Spill and preserve files: one file per block, named by its id.
+namespace files {
+
+inline std::filesystem::path spill_path(const std::filesystem::path& dir,
+                                        const BlockId& id) {
+  return dir / ("blk_" + id.to_string() + ".bin");
+}
+
+inline std::filesystem::path preserve_path(const std::filesystem::path& dir,
+                                           const BlockId& id) {
+  return dir / ("out_" + id.to_string() + ".bin");
+}
+
+inline void write_file(const std::filesystem::path& p,
+                       std::span<const std::byte> bytes) {
+  std::ofstream f(p, std::ios::binary | std::ios::trunc);
+  if (!f) {
+    throw std::runtime_error("Zipper: cannot open spill file " + p.string());
+  }
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (!f) throw std::runtime_error("Zipper: short write to " + p.string());
+}
+
+inline std::vector<std::byte> read_file(const std::filesystem::path& p,
+                                        std::uint64_t expected) {
+  std::ifstream f(p, std::ios::binary);
+  if (!f) {
+    throw std::runtime_error("Zipper: cannot open spill file " + p.string());
+  }
+  std::vector<std::byte> out(expected);
+  f.read(reinterpret_cast<char*>(out.data()),
+         static_cast<std::streamsize>(expected));
+  if (static_cast<std::uint64_t>(f.gcount()) != expected) {
+    throw std::runtime_error("Zipper: short read from " + p.string());
+  }
+  return out;
+}
+
+}  // namespace files
 
 class NetEnv {
  public:
@@ -145,6 +197,20 @@ class NetEnv {
   const std::string& wire_error() const noexcept { return wire_error_; }
 
   sim::Task send_mixed(int p, int c, MixedT msg) {
+    (void)p;
+    if (msg.has_block && cfg_.network_bandwidth > 0) {
+      // Token bucket: each block reserves its transfer time on the shared
+      // link behind every earlier reservation.
+      net_free_at_ = std::max(net_free_at_, now()) +
+                     static_cast<sim::Time>(
+                         static_cast<double>(msg.item.h.bytes) /
+                         cfg_.network_bandwidth * 1e9);
+      co_await ex_->sleep_until(net_free_at_);
+    }
+    if (wire_fd_ < 0) {  // in-process
+      co_await deliver_mixed(c, std::move(msg));
+      co_return;
+    }
     net::WireMixed w;
     w.has_block = msg.has_block;
     w.done = msg.done;
@@ -157,7 +223,6 @@ class NetEnv {
     if (msg.has_block && msg.item.payload) {
       w.payload = msg.item.payload->payload;
     }
-    (void)p;
     co_await write_frame(net::encode_mixed(w));
   }
 
@@ -195,10 +260,12 @@ class NetEnv {
 
   // ------------------------------------------------------- daemon role ----
 
-  /// Demux -> consumer queue, with channel backpressure (a full consumer
-  /// stalls the session demux, which stalls the client's TCP stream).
+  /// Demux (or in-process send) -> consumer queue, with channel backpressure
+  /// (a full consumer stalls the session demux, which stalls the client's
+  /// TCP stream). Dropped after close_transport(), like a send on a dead wire.
   sim::Task deliver_mixed(int c, MixedT msg) {
-    co_await nets_[static_cast<std::size_t>(c)]->send(std::move(msg));
+    auto& net = *nets_[static_cast<std::size_t>(c)];
+    if (!net.closed()) co_await net.send(std::move(msg));
   }
 
   sim::Task recv_mixed(int c, std::optional<MixedT>& out) {
@@ -226,16 +293,24 @@ class NetEnv {
   /// Non-empty once a spill/preserve file operation failed.
   const std::string& io_error() const noexcept { return io_error_; }
 
+  /// Writes the block's bytes, or zeros for a header without a payload.
+  static void write_block(const std::filesystem::path& p, const ItemT& it) {
+    if (it.payload) return files::write_file(p, it.payload->payload);
+    files::write_file(p, std::vector<std::byte>(it.h.bytes));
+  }
+
+  // The file calls themselves run on the loop's file worker
+  // (EpollExecutor::blocking), so a slow file system delays only the
+  // coroutine that waits for it, never the sends and receives beside it.
+
   sim::Task spill_write(int p, const ItemT& it) {
     (void)p;
     try {
-      rtdetail::write_file(rtdetail::spill_path(cfg_.spill_dir, it.h.id),
-                           it.payload ? it.payload->payload
-                                      : std::vector<std::byte>(it.h.bytes));
+      co_await ex_->blocking(
+          [&] { write_block(files::spill_path(cfg_.spill_dir, it.h.id), it); });
     } catch (const std::exception& e) {
       if (io_error_.empty()) io_error_ = e.what();
     }
-    co_return;
   }
 
   sim::Task fetch_spill(int c, const BlockHeader& h, ItemT& out) {
@@ -243,22 +318,23 @@ class NetEnv {
     auto block = std::make_shared<Block>();
     block->header = h;
     try {
-      const std::filesystem::path src =
-          rtdetail::spill_path(cfg_.spill_dir, h.id);
-      block->payload = rtdetail::read_file(src, h.bytes);
-      if (cfg_.preserve) {
-        std::filesystem::rename(
-            src, rtdetail::preserve_path(cfg_.preserve_dir, h.id));
-      } else {
-        std::filesystem::remove(src);
-      }
+      co_await ex_->blocking([&] {
+        const std::filesystem::path src =
+            files::spill_path(cfg_.spill_dir, h.id);
+        block->payload = files::read_file(src, h.bytes);
+        if (cfg_.preserve) {
+          std::filesystem::rename(
+              src, files::preserve_path(cfg_.preserve_dir, h.id));
+        } else {
+          std::filesystem::remove(src);
+        }
+      });
     } catch (const std::exception& e) {
       if (io_error_.empty()) io_error_ = e.what();
       block->payload.assign(h.bytes, std::byte{0});
     }
     out.h = h;
     out.payload = std::move(block);
-    co_return;
   }
 
   sim::Task preserve_open(int) { co_return; }
@@ -266,20 +342,23 @@ class NetEnv {
   sim::Task preserve_write(int c, const ItemT& it) {
     (void)c;
     try {
-      rtdetail::write_file(
-          rtdetail::preserve_path(cfg_.preserve_dir, it.h.id),
-          it.payload ? it.payload->payload
-                     : std::vector<std::byte>(it.h.bytes));
+      co_await ex_->blocking([&] {
+        write_block(files::preserve_path(cfg_.preserve_dir, it.h.id), it);
+      });
     } catch (const std::exception& e) {
       if (io_error_.empty()) io_error_ = e.what();
     }
-    co_return;
   }
 
   // ------------------------------------------------------- misc contract ----
 
+  /// Sleeps `interval` in slices, so stop_control() ends the control loop
+  /// within one slice rather than one interval.
   sim::Task control_tick(sim::Time interval, bool& alive) {
-    co_await sleep(interval);
+    const sim::Time end = now() + interval;
+    while (!stopped_ && now() < end) {
+      co_await ex_->sleep_until(std::min(end, now() + kStopPoll));
+    }
     alive = !stopped_;
   }
 
@@ -304,6 +383,7 @@ class NetEnv {
 
  private:
   static constexpr sim::Time kStealPoll = 500 * sim::kMicrosecond;
+  static constexpr sim::Time kStopPoll = 10 * sim::kMillisecond;
 
   exec::EpollExecutor* ex_;
   NetEnvConfig cfg_;
@@ -313,6 +393,7 @@ class NetEnv {
   std::string wire_error_;
   std::string io_error_;
   bool stopped_ = false;
+  sim::Time net_free_at_ = 0;  // token bucket: the link is reserved until then
   std::vector<std::unique_ptr<NetBinding::Channel<MixedT>>> nets_;
 };
 

@@ -4,8 +4,7 @@
 // percentages (figures 4–6) and render ASCII Gantt snapshots (figures 17,
 // 19). The recorder is deliberately dumb: a flat vector of spans, filtered on
 // demand. The recorder itself does no locking: DES runs are single-threaded,
-// and the threaded runtime serializes its writes behind an env-local lock
-// (core/zipper/rt_binding.hpp) before they reach record().
+// and the epoll loop (zipperd, core/rt) records from its one thread.
 #pragma once
 
 #include <algorithm>

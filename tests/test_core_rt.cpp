@@ -1,11 +1,14 @@
-// Tests for the real (threaded) Zipper runtime: end-to-end delivery and
-// integrity over both channels, work-stealing behaviour, Preserve mode
-// durability, termination, stress.
+// Tests for the real in-process Zipper runtime (application threads around
+// one epoll loop thread): end-to-end delivery and integrity over both
+// channels, work-stealing behaviour, Preserve mode durability, termination,
+// failure propagation, stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <map>
 #include <set>
 #include <thread>
@@ -49,6 +52,15 @@ std::vector<std::byte> make_payload(std::uint64_t seed, std::size_t n) {
   zipper::common::Xoshiro256 rng(seed);
   for (auto& b : out) b = static_cast<std::byte>(rng() & 0xFF);
   return out;
+}
+
+std::size_t os_threads() {
+  std::size_t n = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
 }
 
 Config base_config(const TempDirs& dirs) {
@@ -406,4 +418,85 @@ TEST(RtRuntime, RealSpansGiveThreadedRunsPerSpanNesting) {
   // Producer and consumer ranks both show up in one attribution.
   EXPECT_TRUE(ranks_seen & 1ull) << "producer rank 0 missing from trace";
   EXPECT_TRUE(ranks_seen & (1ull << P)) << "consumer rank missing from trace";
+}
+
+TEST(RtRuntime, OneLoopThreadServesEveryEndpoint) {
+  // Every service coroutine of every endpoint runs on the one loop thread
+  // the Runtime owns, however many endpoints there are. (The loop's file
+  // worker would start at the first spill; these small blocks never spill.)
+  TempDirs dirs;
+  const std::size_t before = os_threads();
+  {
+    const int P = 8, Q = 4;
+    Runtime rt(P, Q, base_config(dirs));
+    EXPECT_EQ(os_threads(), before + 1);
+    const auto payload = make_payload(6, 4096);
+    for (int p = 0; p < P; ++p) {
+      for (int b = 0; b < 3; ++b) rt.producer(p).write(BlockId{0, p, b}, payload);
+      rt.producer(p).finish();
+    }
+    int received = 0;
+    for (int c = 0; c < Q; ++c) {
+      while (rt.consumer(c).read()) ++received;
+    }
+    EXPECT_EQ(received, P * 3);
+    EXPECT_EQ(os_threads(), before + 1);
+  }
+  EXPECT_EQ(os_threads(), before);
+}
+
+TEST(RtRuntime, DestructorDoesNotWaitOutTheControlInterval) {
+  TempDirs dirs;
+  Config cfg = base_config(dirs);
+  cfg.controller = [](const zipper::core::chaos::ControlSnapshot&) {
+    return zipper::core::chaos::ControlAction{};
+  };
+  cfg.control_interval = 10 * zipper::sim::kSecond;
+  auto rt = std::make_unique<Runtime>(1, 1, cfg);
+  rt->producer(0).write(BlockId{0, 0, 0}, make_payload(8, 1024));
+  rt->producer(0).finish();
+  while (rt->consumer(0).read()) {
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  rt.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+      << "~Runtime waited out the controller's 10 s tick";
+}
+
+TEST(RtRuntime, SpillFileErrorsReachTheCallerAsExceptions) {
+  // The spill directory vanishes under a running runtime, so every spill
+  // write and read-back fails. The application must see an exception, never
+  // a block the runtime could not read back.
+  TempDirs dirs;
+  Config cfg = base_config(dirs);
+  cfg.spill_dir = dirs.spill / "vanishing";
+  cfg.producer_buffer_blocks = 4;
+  cfg.network_bandwidth = 2e6;  // slow network: the writer must spill
+  Runtime rt(1, 1, cfg);
+  fs::remove_all(cfg.spill_dir);
+
+  const auto payload = make_payload(10, 64 * 1024);
+  bool producer_threw = false, consumer_threw = false;
+  std::thread producer([&] {
+    try {
+      for (int b = 0; b < 40; ++b) rt.producer(0).write(BlockId{0, 0, b}, payload);
+      rt.producer(0).finish();
+    } catch (const std::exception&) {
+      producer_threw = true;
+    }
+  });
+  std::thread consumer([&] {
+    try {
+      while (auto block = rt.consumer(0).read()) {
+        EXPECT_EQ(block->payload, payload) << block->header.id.to_string();
+      }
+    } catch (const std::exception&) {
+      consumer_threw = true;
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_TRUE(producer_threw) << "write()/finish() hid the spill failure";
+  EXPECT_TRUE(consumer_threw) << "read() hid the spill failure";
+  EXPECT_THROW(rt.wait_idle(), std::exception);
 }

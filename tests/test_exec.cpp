@@ -2,8 +2,8 @@
 // body (core/zipper) is one translation unit instantiated over two executors
 // (core/exec), and this file pins down the contract between them. The same
 // seeded workload runs on the VirtualTimeExecutor (DES facade core/dsim) and
-// on the ThreadPoolExecutor (threaded facade core/rt) and must agree on the
-// streaming invariants:
+// through core::rt::Runtime (application threads around one EpollExecutor
+// loop thread) and must agree on the streaming invariants:
 //
 //   * exactly-once delivery — every produced block analyzed/read once;
 //   * per-(producer,consumer) FIFO — with the dual channel and consumer

@@ -27,6 +27,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <coroutine>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -456,6 +459,61 @@ TEST(EpollExecutor, DeadlockedLoopThrowsInsteadOfHanging) {
   };
   ex.spawn(stuck());
   EXPECT_THROW(ex.run(), std::runtime_error);
+}
+
+TEST(EpollExecutor, PostFromThreadsResumesEachHandleOnceOnTheLoop) {
+  // Four threads post parked coroutines in bursts while the loop sleeps in
+  // epoll_wait; every handle resumes exactly once, on the loop thread.
+  constexpr int kThreads = 4, kBursts = 8, kBurst = 32;
+  constexpr int kN = kThreads * kBursts * kBurst;
+  exec::EpollExecutor ex;
+  std::vector<std::coroutine_handle<>> parked(kN);
+  std::vector<int> resumed(kN, 0);
+  std::vector<std::thread::id> resumed_on(kN);
+  std::atomic<int> parked_count{0};
+  struct Park {
+    exec::EpollExecutor* ex;
+    std::coroutine_handle<>* slot;
+    std::atomic<int>* count;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      *slot = h;
+      ex->add_remote_waiter();
+      count->fetch_add(1, std::memory_order_release);
+    }
+    void await_resume() { ex->remove_remote_waiter(); }
+  };
+  auto waiter = [&](int i) -> sim::Task {
+    co_await Park{&ex, &parked[static_cast<std::size_t>(i)], &parked_count};
+    ++resumed[static_cast<std::size_t>(i)];
+    resumed_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+  };
+  for (int i = 0; i < kN; ++i) ex.spawn(waiter(i));
+
+  std::thread loop([&] { ex.run(); });
+  const std::thread::id loop_id = loop.get_id();
+  while (parked_count.load(std::memory_order_acquire) < kN) {
+    std::this_thread::yield();
+  }
+  // Nothing is ready now: let the loop go back to sleep in epoll_wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int b = 0; b < kBursts; ++b) {
+        for (int k = 0; k < kBurst; ++k) {
+          ex.post(parked[static_cast<std::size_t>((t * kBursts + b) * kBurst + k)]);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  for (auto& p : posters) p.join();
+  loop.join();  // run() returns once every root was resumed and finished
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(resumed[static_cast<std::size_t>(i)], 1) << "handle " << i;
+    EXPECT_EQ(resumed_on[static_cast<std::size_t>(i)], loop_id) << "handle " << i;
+  }
 }
 
 // ------------------------------------------------------- loopback coupling --

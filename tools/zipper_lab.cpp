@@ -6,9 +6,9 @@
 //                                        CSV/JSON artifacts per figure
 //                  [--sim-threads N]     shard the virtual-time DES (byte-
 //                                        identical artifacts at any N)
-//                  [--rt]                threaded-executor smoke: a scaled-
-//                                        down cut of the figure's Zipper
-//                                        scenario on the real runtime
+//                  [--rt]                in-process smoke: a scaled-down
+//                                        cut of the figure's Zipper
+//                                        scenario on the real core/rt runtime
 //                  [--net]               real-socket smoke: the same cut as
 //                                        an in-process zipperd + client
 //                                        coupling over localhost TCP
@@ -198,9 +198,9 @@ int cmd_list(int argc, char** argv) {
 // sweep axes use — instead of a bare "unknown flag".
 constexpr const char* kRunFlagHelp[] = {
     "--full                      full-scale scenario set (paper-scale ranks)",
-    "--rt                        threaded-executor smoke: run a scaled-down cut",
-    "                            of the figure's first Zipper scenario on the",
-    "                            real ThreadPoolExecutor runtime (core/rt)",
+    "--rt                        in-process smoke: run a scaled-down cut of",
+    "                            the figure's first Zipper scenario on the real",
+    "                            core/rt runtime (app threads + one epoll loop)",
     "--net                       real-socket smoke: the same scaled-down cut",
     "                            as an in-process zipperd + client coupling",
     "                            over localhost TCP (EpollExecutor runtime)",
@@ -219,9 +219,10 @@ int bad_run_flag(const char* why, const std::string& arg) {
 }
 
 /// `run <figure> --rt`: a scaled-down cut of the figure's first Zipper
-/// scenario on the real threaded runtime — same unified body the DES runs
-/// execute, bound to the ThreadPoolExecutor. Real threads, real spill files;
-/// verifies exactly-once delivery and prints the unified endpoint counters.
+/// scenario on the real in-process runtime — same unified body the DES runs
+/// execute, on core::rt::Runtime's epoll loop thread. Real application
+/// threads, real spill files; verifies exactly-once delivery and prints the
+/// unified endpoint counters.
 int run_figure_rt_smoke(const FigureDef& fig) {
   const auto specs = fig.scenarios(false);
   const ScenarioSpec* base = nullptr;
@@ -420,11 +421,11 @@ int cmd_run(int argc, char** argv) {
     }
   }
   // Runtime selection is validated eagerly, before anything runs: --rt picks
-  // the threaded executor, --sim-threads shards the virtual-time executor —
+  // the in-process runtime, --sim-threads shards the virtual-time executor —
   // one run cannot use both clocks.
   if (rt && sim_threads_given) {
     std::fprintf(stderr,
-                 "run: --rt (threaded executor, real time) contradicts "
+                 "run: --rt (in-process runtime, real time) contradicts "
                  "--sim-threads (sharded virtual-time DES); pick one "
                  "runtime\n");
     return 2;
@@ -432,7 +433,7 @@ int cmd_run(int argc, char** argv) {
   if (net_smoke && rt) {
     std::fprintf(stderr,
                  "run: --net (epoll executor, real sockets) contradicts "
-                 "--rt (threaded executor); pick one runtime\n");
+                 "--rt (in-process runtime); pick one runtime\n");
     return 2;
   }
   if (net_smoke && sim_threads_given) {
@@ -444,7 +445,7 @@ int cmd_run(int argc, char** argv) {
   }
   if (rt && opts.full) {
     std::fprintf(stderr,
-                 "run: --rt is a scaled-down threaded smoke; --full scales "
+                 "run: --rt is a scaled-down in-process smoke; --full scales "
                  "are virtual-time only (drop one of the flags)\n");
     return 2;
   }
