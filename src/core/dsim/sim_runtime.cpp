@@ -74,17 +74,18 @@ sim::Task SimZipper::producer_put(int p, int step) {
   return body_->producer_put(p, step);
 }
 
-sim::Task SimZipper::producer_put_block(int p, int step, int block,
-                                        int num_blocks) {
+SimZipper::PutAwaiter SimZipper::producer_put_block(int p, int step,
+                                                    int block, int num_blocks) {
   return body_->producer_put_block(p, step, block, num_blocks);
 }
 
-sim::Task SimZipper::producer_put_raw(int p, BlockHeader h) {
-  return body_->put_header(p, zbody::Item<zbody::VtBinding>{h, {}});
+SimZipper::PutAwaiter SimZipper::producer_put_raw(int p, BlockHeader h) {
+  return body_->put(p, zbody::Item<zbody::VtBinding>{h, {}});
 }
 
 sim::Task SimZipper::producer_finalize(int p) {
-  return body_->producer_finalize(p);
+  body_->producer_finalize(p);
+  co_return;
 }
 
 sim::Task SimZipper::consumer_run(int c) { return body_->consumer_run(c); }

@@ -24,16 +24,10 @@
 #include "core/chaos/chaos.hpp"
 #include "core/exec/exec.hpp"
 #include "core/sched/sched.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "mpi/mpi.hpp"
 #include "pfs/pfs.hpp"
 #include "trace/recorder.hpp"
-
-namespace zipper::core::zbody {
-struct VtBinding;
-class VtEnv;
-template <class B>
-class ZipperBody;
-}  // namespace zipper::core::zbody
 
 namespace zipper::core::dsim {
 
@@ -137,18 +131,21 @@ class SimZipper {
   /// (simulated) while the buffer is full.
   sim::Task producer_put(int p, int step);
 
+  /// A single-block put's awaiter, held in the awaiting frame.
+  using PutAwaiter = zbody::ZipperBody<zbody::VtBinding>::PutAwaiter;
+
   /// Fine-grain variant: pushes a single block of the step (used by
   /// block-granular workloads where production interleaves with compute).
   /// `num_blocks` is the caller's split of the step: with the default
   /// (blocks_per_step()) the step splits into config-sized blocks with the
   /// remainder in the last one; any other count splits the step's bytes
   /// evenly across `num_blocks` blocks.
-  sim::Task producer_put_block(int p, int step, int block, int num_blocks);
+  PutAwaiter producer_put_block(int p, int step, int block, int num_blocks);
 
   /// Raw-header put for pipeline chaining: pushes a caller-built header into
   /// producer p's buffer with the same stall accounting as the step-based
   /// puts. The caller owns the BlockId numbering (FIFO per producer).
-  sim::Task producer_put_raw(int p, BlockHeader h);
+  PutAwaiter producer_put_raw(int p, BlockHeader h);
 
   /// Ends producer p's stream: the sender drains, waits for the writer, and
   /// flushes the end-of-stream control message(s).

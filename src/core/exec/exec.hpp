@@ -21,11 +21,9 @@
 //   B::Time                 clock type, ns (sim::Time for both)
 //   B::Ctx                  primitive-construction context (Simulation& /
 //                           EpollExecutor&)
-//   B::Mutex / B::CondVar / B::Latch     awaitable sync primitives
+//   B::CondVar / B::Latch   awaitable sync primitives (no mutex: one event
+//                           or one loop step runs at a time on both)
 //   B::Channel<T>           bounded MPMC channel (awaitable send/recv)
-//   B::RawMutex             non-suspending lockable guarding plain shared
-//                           state (a no-op on both executors, where one
-//                           event or one loop step runs at a time)
 //   B::Payload              per-block payload (empty under virtual time,
 //                           shared_ptr<Block> on the epoll loop)
 //   B::Span                 RAII trace span on the binding's clock

@@ -18,14 +18,6 @@
 
 namespace zipper::core::exec {
 
-/// No-op lockable: under virtual time one event never interleaves with
-/// another, so plain shared state needs no guard. Lets the unified body take
-/// std::lock_guard on shared maps without perturbing the event schedule.
-struct NullMutex {
-  void lock() noexcept {}
-  void unlock() noexcept {}
-};
-
 class VirtualTimeExecutor {
  public:
   explicit VirtualTimeExecutor(sim::Simulation& sim) : sim_(&sim) {}

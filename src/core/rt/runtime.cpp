@@ -65,10 +65,10 @@ struct Runtime::Loop {
       // rest of the time it runs up to a buffer's worth ahead of a busy loop.
       const bool stall = body.producer_buffer_full(p);
       if (stall) inbox.set_capacity(1);
-      co_await body.put_header(p, std::move(*it));
+      co_await body.put(p, std::move(*it));
       if (stall) inbox.set_capacity(inbox_blocks);
     }
-    co_await body.producer_finalize(p);
+    body.producer_finalize(p);
     if (!finishing) co_return;  // torn down
     // finish() returns once the sender drained the buffer, joined the writer
     // and flushed the end-of-stream messages.

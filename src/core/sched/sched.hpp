@@ -150,7 +150,7 @@ class SpillPolicy {
   bool enabled() const noexcept { return base_.enabled; }
 
   /// The spill decision. Mutating (hysteresis arm/disarm, adaptive threshold
-  /// movement); the writer calls it under the producer-buffer lock.
+  /// movement); the writer calls it before each steal.
   bool should_spill(std::size_t buffer_size, std::uint64_t producer_stall_ns);
 
   /// Non-mutating, conservative wake hint for the producer-side push: may

@@ -26,11 +26,11 @@
 
 #include <atomic>
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -181,15 +181,17 @@ class ZipperBody {
   void spawn_control();
 
   // -- producer side --------------------------------------------------------
-  /// Pushes one prepared block into producer p's buffer: stall accounting,
-  /// push, writer wake (Zipper.write's tail on both executors).
-  Task put_header(int p, ItemT it);
+  class PutAwaiter;
+  /// Pushes one block into producer p's buffer (Zipper.write's tail on both
+  /// executors); a put into a full buffer parks and counts as a stall. One
+  /// put per producer at a time.
+  PutAwaiter put(int p, ItemT it);
   /// Whole-step put: consults the BlockSizer once, splits, pushes.
   Task producer_put(int p, int step);
   /// Fine-grain put of one block of a step (see SimZipper::producer_put_block).
-  Task producer_put_block(int p, int step, int block, int num_blocks);
+  PutAwaiter producer_put_block(int p, int step, int block, int num_blocks);
   /// End-of-stream: the sender drains, joins the writer, flushes done msgs.
-  Task producer_finalize(int p);
+  void producer_finalize(int p);
   /// Completes once producer p's sender has flushed its done messages.
   Task wait_sender_done(int p);
   /// The BlockSizer's advice for the next put granularity.
@@ -197,6 +199,30 @@ class ZipperBody {
   /// True while producer p's buffer is full, so a put would park (a stall).
   /// Scheduler thread only.
   bool producer_buffer_full(int p) const;
+
+  /// The awaiter put() returns, held in the awaiting frame. A put into a
+  /// full buffer parks its own node on the producer's not_full and pushes
+  /// once the drain that freed a slot wakes it.
+  class PutAwaiter {
+   public:
+    bool await_ready() const noexcept {
+      return !body_->producer_buffer_full(p_);
+    }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume();
+
+   private:
+    friend class ZipperBody;
+    PutAwaiter(ZipperBody& body, int p, ItemT it,
+               typename B::CondVar::Park park)
+        : body_(&body), p_(p), it_(std::move(it)), park_(park) {}
+
+    ZipperBody* body_;
+    int p_;
+    Time t0_ = 0;  // when the put parked
+    ItemT it_;
+    typename B::CondVar::Park park_;  // on the producer's not_full
+  };
 
   // -- consumer side --------------------------------------------------------
   /// Acquires the next block for consumer c (own buffer, steal, or drain),
@@ -228,13 +254,14 @@ class ZipperBody {
   struct Consumer;
 
   Task sender_main(int p);
+  Task retry_or_spill(int p, int c, ItemT& it, bool& spilled);
+  Task flush_end_of_stream(int p);
   Task writer_main(int p);
-  Task spill_slow(int p, ItemT it, int c);
   Task receiver_main(int c);
   Task reader_main(int c);
   Task output_main(int c);
   Task control_main();
-  Task apply_action(chaos::ControlAction act);
+  void apply_action(chaos::ControlAction act);
 
   std::optional<std::pair<ItemT, int>> try_steal(int thief);
   bool all_consumer_buffers_drained() const;

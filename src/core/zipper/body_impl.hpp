@@ -6,7 +6,7 @@
 // core/dsim runtime: under the virtual-time binding every co_await expands to
 // the same awaiter chain at the same point in the event schedule, which the
 // golden figure digests verify byte-for-byte. When editing, keep the order of
-// scheduling operations (lock/wait/notify/channel/env calls) intact; counter
+// scheduling operations (park/notify/channel/env calls) intact; counter
 // updates are schedule-neutral and may move freely between them.
 #pragma once
 
@@ -23,22 +23,20 @@ template <class B>
 struct ZipperBody<B>::Producer {
   Producer(typename B::Ctx& x, const sched::SchedConfig& sc, StealPolicy base,
            std::uint64_t block_bytes)
-      : spill(sc, base), sizer(sc, block_bytes), m(x),
-        not_full(x), not_empty(x), above_threshold(x),
-        writer_done(x, base.enabled ? 1 : 0), sender_done(x, 1) {}
+      : spill(sc, base), sizer(sc, block_bytes), not_full(x), not_empty(x),
+        above_threshold(x), writer_done(x, base.enabled ? 1 : 0),
+        sender_done(x, 1) {}
 
   sched::SpillPolicy spill;
   sched::BlockSizer sizer;
-  common::RingBuffer<ItemT> q;  // grows on demand; spill.capacity() bounds it
+  // Filled by the put path, drained by sender and writer, bounded by
+  // spill.capacity(); no lock, as all three touch it between suspensions.
+  common::RingBuffer<ItemT> q;
   bool closed = false;
-  typename B::Mutex m;  // protects q/closed across suspension points
   typename B::CondVar not_full, not_empty, above_threshold;
   typename B::Latch writer_done;
   typename B::Latch sender_done;  // sender flushed its done messages
-  // Spilled headers per consumer, drained into mixed messages. Guarded by the
-  // binding's RawMutex, a no-op on both executors: one loop or one event
-  // runs at a time, so writer, sender and finalize never interleave here.
-  typename B::RawMutex spill_m;
+  // Spilled headers per consumer, drained into mixed messages.
   std::map<int, std::vector<BlockHeader>> spilled;
 };
 
@@ -130,7 +128,6 @@ int ZipperBody<B>::route_for(const BlockId& id) const {
 
 template <class B>
 std::vector<BlockHeader> ZipperBody<B>::take_spilled(Producer& pm, int c) {
-  std::lock_guard<typename B::RawMutex> lk(pm.spill_m);
   auto it = pm.spilled.find(c);
   if (it == pm.spilled.end()) return {};
   auto out = std::move(it->second);
@@ -140,40 +137,52 @@ std::vector<BlockHeader> ZipperBody<B>::take_spilled(Producer& pm, int c) {
 
 template <class B>
 void ZipperBody<B>::add_spilled(Producer& pm, int c, const BlockHeader& h) {
-  std::lock_guard<typename B::RawMutex> lk(pm.spill_m);
   pm.spilled[c].push_back(h);
 }
 
 // ----------------------------------------------------------- producer side --
 
 template <class B>
-typename B::Task ZipperBody<B>::put_header(int p, ItemT it) {
-  Producer& pm = *producers_[static_cast<std::size_t>(p)];
-  detail::AtomicRankStats& rs = prank_stats_[static_cast<std::size_t>(p)];
-  co_await pm.m.lock();
-  if (pm.q.size() >= pm.spill.capacity()) {
-    const Time t0 = env_->now();
-    while (pm.q.size() >= pm.spill.capacity()) co_await pm.not_full.wait(pm.m);
-    const Time dt = env_->now() - t0;
-    agg_.producer_stall.fetch_add(dt, std::memory_order_relaxed);
-    ctx_.add_stall(p, static_cast<std::uint64_t>(dt));
+typename ZipperBody<B>::PutAwaiter ZipperBody<B>::put(int p, ItemT it) {
+  return PutAwaiter(*this, p, std::move(it),
+                    producers_[static_cast<std::size_t>(p)]->not_full.wait());
+}
+
+template <class B>
+void ZipperBody<B>::PutAwaiter::await_suspend(std::coroutine_handle<> h) {
+  t0_ = body_->env_->now();
+  park_.await_suspend(h);
+}
+
+template <class B>
+void ZipperBody<B>::PutAwaiter::await_resume() {
+  ZipperBody& z = *body_;
+  Producer& pm = *z.producers_[static_cast<std::size_t>(p_)];
+  detail::AtomicRankStats& rs = z.prank_stats_[static_cast<std::size_t>(p_)];
+  if (park_.node.h) {  // parked
+    // Only this put path pushes into p's ring and its capacity is fixed, so
+    // the drain whose notify_one woke this put freed the slot it takes.
+    assert(pm.q.size() < pm.spill.capacity());
+    const Time dt = z.env_->now() - t0_;
+    z.agg_.producer_stall.fetch_add(dt, std::memory_order_relaxed);
+    z.ctx_.add_stall(p_, static_cast<std::uint64_t>(dt));
     rs.stall_ns.fetch_add(static_cast<std::uint64_t>(dt),
                           std::memory_order_relaxed);
     // t0 + dt, not a fresh now(): keeps span totals and the stall counter
     // exactly equal on the real clock (identical under virtual time).
-    env_->record_span(producer_rank(p), trace::Cat::kStall, t0, t0 + dt);
+    z.env_->record_span(z.producer_rank(p_), trace::Cat::kStall, t0_,
+                        t0_ + dt);
   }
-  pm.q.push_back(std::move(it));
-  agg_.blocks_total.fetch_add(1, std::memory_order_relaxed);
+  pm.q.push_back(std::move(it_));
+  z.agg_.blocks_total.fetch_add(1, std::memory_order_relaxed);
   rs.blocks_written.fetch_add(1, std::memory_order_relaxed);
   pm.not_empty.notify_one();
   if (pm.spill.wake_writer(pm.q.size())) pm.above_threshold.notify_one();
-  pm.m.unlock();
 }
 
 template <class B>
-typename B::Task ZipperBody<B>::producer_put_block(int p, int step, int b,
-                                                   int num_blocks) {
+typename ZipperBody<B>::PutAwaiter ZipperBody<B>::producer_put_block(
+    int p, int step, int b, int num_blocks) {
   assert(num_blocks > 0 && b < num_blocks);
   BlockHeader h;
   h.id = BlockId{step, p, b};
@@ -194,7 +203,7 @@ typename B::Task ZipperBody<B>::producer_put_block(int p, int step, int b,
     h.offset = total * i / nb;
     h.bytes = total * (i + 1) / nb - h.offset;
   }
-  return put_header(p, ItemT{h, {}});
+  return put(p, ItemT{h, {}});
 }
 
 template <class B>
@@ -214,18 +223,16 @@ typename B::Task ZipperBody<B>::producer_put(int p, int step) {
     h.bytes = (b == nb - 1)
                   ? cfg_.step_bytes - static_cast<std::uint64_t>(nb - 1) * bsz
                   : bsz;
-    co_await put_header(p, ItemT{h, {}});
+    co_await put(p, ItemT{h, {}});
   }
 }
 
 template <class B>
-typename B::Task ZipperBody<B>::producer_finalize(int p) {
+void ZipperBody<B>::producer_finalize(int p) {
   Producer& pm = *producers_[static_cast<std::size_t>(p)];
-  co_await pm.m.lock();
   pm.closed = true;
   pm.not_empty.notify_all();
   pm.above_threshold.notify_all();
-  pm.m.unlock();
   // The sender service drains the queue, joins the writer, and emits the
   // final control messages; nothing further to do on the put path.
 }
@@ -253,49 +260,24 @@ typename B::Task ZipperBody<B>::sender_main(int p) {
   Producer& pm = *producers_[static_cast<std::size_t>(p)];
   detail::AtomicRankStats& rs = prank_stats_[static_cast<std::size_t>(p)];
   while (true) {
-    co_await pm.m.lock();
-    while (pm.q.empty() && !pm.closed) co_await pm.not_empty.wait(pm.m);
-    if (pm.q.empty() && pm.closed) {
-      pm.m.unlock();
-      break;
-    }
-    ItemT it = pm.q.take_front();
-    pm.not_full.notify_one();
-    pm.m.unlock();
-
-    const int c = route_for(it.h.id);
-    // Resilience path: a put addressed to a consumer inside a fault window
-    // times out. Back off exponentially and retry; if the fault outlasts
-    // the retry budget, declare the consumer slow and degrade the block to
-    // the file-system channel so the producer keeps streaming.
-    if (cfg_.chaos && cfg_.chaos->fault_active(c, env_->now_s())) {
-      bool degraded = true;
-      Time backoff = cfg_.put_retry_backoff;
-      const Time w0 = env_->now();
-      for (int attempt = 0; attempt < cfg_.max_put_retries; ++attempt) {
-        agg_.put_retries.fetch_add(1, std::memory_order_relaxed);
-        co_await env_->sleep(backoff);
-        backoff *= 2;
-        if (!cfg_.chaos->fault_active(c, env_->now_s())) {
-          degraded = false;  // consumer recovered inside the retry budget
-          break;
-        }
-      }
-      // Backoff is transmit stall (data ready, peer won't take it), charged
-      // like any congestion-control wait.
-      env_->charge_backoff_wait(p, env_->now() - w0);
-      if (degraded) {
-        co_await spill_slow(p, std::move(it), c);
-        continue;
-      }
-    }
-    ctx_.on_routed(c);
+    while (pm.q.empty() && !pm.closed) co_await pm.not_empty.wait();
+    if (pm.q.empty()) break;  // closed and drained
+    // send_mixed borrows msg, so this frame holds the block's only copy.
     MixedT msg;
     msg.has_block = true;
+    msg.item = pm.q.take_front();
     msg.producer = producer_rank(p);
+    pm.not_full.notify_one();
+
+    const int c = route_for(msg.item.h.id);
+    if (cfg_.chaos && cfg_.chaos->fault_active(c, env_->now_s())) {
+      bool spilled = false;
+      co_await retry_or_spill(p, c, msg.item, spilled);
+      if (spilled) continue;
+    }
+    ctx_.on_routed(c);
     msg.ids_on_disk = take_spilled(pm, c);
-    const std::uint64_t bytes = it.h.bytes;
-    msg.item = std::move(it);
+    const std::uint64_t bytes = msg.item.h.bytes;
     {
       auto span = env_->span(producer_rank(p), trace::Cat::kTransfer);
       const Time t0 = env_->now();
@@ -305,8 +287,50 @@ typename B::Task ZipperBody<B>::sender_main(int p) {
       rs.blocks_sent.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Wait for the writer to finish its in-flight spill before flushing the
-  // final spilled-ID lists.
+  co_await flush_end_of_stream(p);
+}
+
+// Resilience path (a child of the sender, so it takes frame space only while
+// it runs): a put to a consumer inside a fault window times out. Back off
+// exponentially and retry; if the fault outlasts the retry budget, degrade
+// the block to the file-system channel so the producer keeps streaming.
+template <class B>
+typename B::Task ZipperBody<B>::retry_or_spill(int p, int c, ItemT& it,
+                                               bool& spilled) {
+  Time backoff = cfg_.put_retry_backoff;
+  const Time w0 = env_->now();
+  spilled = true;
+  for (int attempt = 0; attempt < cfg_.max_put_retries; ++attempt) {
+    agg_.put_retries.fetch_add(1, std::memory_order_relaxed);
+    co_await env_->sleep(backoff);
+    backoff *= 2;
+    if (!cfg_.chaos->fault_active(c, env_->now_s())) {
+      spilled = false;  // consumer recovered inside the retry budget
+      break;
+    }
+  }
+  // Backoff is transmit stall (data ready, peer won't take it), charged
+  // like any congestion-control wait.
+  env_->charge_backoff_wait(p, env_->now() - w0);
+  if (!spilled) co_return;
+  {
+    auto span = env_->span(producer_rank(p), trace::Cat::kSteal);
+    const Time t0 = env_->now();
+    co_await env_->spill_write(p, it);
+    agg_.writer_busy.fetch_add(env_->now() - t0, std::memory_order_relaxed);
+    agg_.bytes_via_pfs.fetch_add(it.h.bytes, std::memory_order_relaxed);
+  }
+  agg_.blocks_spilled_slow.fetch_add(1, std::memory_order_relaxed);
+  it.h.on_disk = true;
+  ctx_.on_routed(c);
+  add_spilled(*producers_[static_cast<std::size_t>(p)], c, it.h);
+}
+
+// End of stream, a child of the sender: wait out the writer's in-flight
+// spill, then flush the final spilled-ID lists with the done messages.
+template <class B>
+typename B::Task ZipperBody<B>::flush_end_of_stream(int p) {
+  Producer& pm = *producers_[static_cast<std::size_t>(p)];
   co_await pm.writer_done.wait();
   std::vector<int> fed;
   if (live_control_) {
@@ -332,19 +356,14 @@ typename B::Task ZipperBody<B>::writer_main(int p) {
   Producer& pm = *producers_[static_cast<std::size_t>(p)];
   detail::AtomicRankStats& rs = prank_stats_[static_cast<std::size_t>(p)];
   while (true) {
-    co_await pm.m.lock();
     while (!pm.closed &&
            !(spill_on_.load(std::memory_order_relaxed) &&
              pm.spill.should_spill(pm.q.size(), ctx_.stall_ns(p)))) {
-      co_await pm.above_threshold.wait(pm.m);
+      co_await pm.above_threshold.wait();
     }
-    if (pm.closed) {
-      pm.m.unlock();
-      break;
-    }
+    if (pm.closed) break;
     ItemT it = pm.q.take_front();  // Algorithm 1: steal the first block
     pm.not_full.notify_one();
-    pm.m.unlock();
 
     {
       auto span = env_->span(producer_rank(p), trace::Cat::kSteal);
@@ -361,22 +380,6 @@ typename B::Task ZipperBody<B>::writer_main(int p) {
     add_spilled(pm, c, it.h);
   }
   pm.writer_done.count_down();
-}
-
-template <class B>
-typename B::Task ZipperBody<B>::spill_slow(int p, ItemT it, int c) {
-  Producer& pm = *producers_[static_cast<std::size_t>(p)];
-  {
-    auto span = env_->span(producer_rank(p), trace::Cat::kSteal);
-    const Time t0 = env_->now();
-    co_await env_->spill_write(p, it);
-    agg_.writer_busy.fetch_add(env_->now() - t0, std::memory_order_relaxed);
-    agg_.bytes_via_pfs.fetch_add(it.h.bytes, std::memory_order_relaxed);
-  }
-  agg_.blocks_spilled_slow.fetch_add(1, std::memory_order_relaxed);
-  it.h.on_disk = true;
-  ctx_.on_routed(c);
-  add_spilled(pm, c, it.h);
 }
 
 // ------------------------------------------------------- online controller --
@@ -405,12 +408,12 @@ typename B::Task ZipperBody<B>::control_main() {
     snap.blocks_analyzed = analyzed - last_analyzed;
     last_analyzed = analyzed;
     const chaos::ControlAction act = cfg_.controller(snap);
-    if (act.any()) co_await apply_action(act);
+    if (act.any()) apply_action(act);
   }
 }
 
 template <class B>
-typename B::Task ZipperBody<B>::apply_action(chaos::ControlAction act) {
+void ZipperBody<B>::apply_action(chaos::ControlAction act) {
   agg_.control_actions.fetch_add(1, std::memory_order_relaxed);
   if (act.route && *act.route != route_kind_.load(std::memory_order_relaxed)) {
     route_kind_.store(*act.route, std::memory_order_relaxed);
@@ -426,11 +429,7 @@ typename B::Task ZipperBody<B>::apply_action(chaos::ControlAction act) {
     if (*act.spill) {
       // Stalled producers pushed their last block before parking, so no
       // fresh push will ring the wake bell — ring it here.
-      for (auto& pm : producers_) {
-        co_await pm->m.lock();
-        pm->above_threshold.notify_all();
-        pm->m.unlock();
-      }
+      for (auto& pm : producers_) pm->above_threshold.notify_all();
     }
   }
 }

@@ -24,9 +24,8 @@
 // file errors likewise only mark io_error(); the in-process Runtime turns a
 // marked error into an exception before it hands out another block.
 //
-// Everything but the file calls runs on one epoll loop thread, so RawMutex is
-// the no-op lock (the spilled-map critical sections contain no co_await) and
-// span recording needs no serialization.
+// Everything but the file calls runs on one epoll loop thread, so the body's
+// shared state needs no lock and span recording needs no serialization.
 #pragma once
 
 #include <sys/socket.h>
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "core/exec/epoll.hpp"
-#include "core/exec/virtual_time.hpp"  // exec::NullMutex
 #include "core/zipper/body.hpp"
 #include "core/zipper/net_frame.hpp"
 #include "sim/channel.hpp"
@@ -81,11 +79,8 @@ struct NetBinding {
   using Time = sim::Time;
   using Ctx = exec::EpollExecutor;
   /// The DES primitives, instantiated on the epoll loop.
-  using Mutex = sim::BasicMutex<exec::EpollExecutor>;
   using CondVar = sim::BasicCondVar<exec::EpollExecutor>;
   using Latch = sim::BasicLatch<exec::EpollExecutor>;
-  /// Single loop thread + no co_await inside the guarded sections.
-  using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = sim::Channel<T, exec::EpollExecutor>;
   /// Real blocks carry their bytes; shared ownership enforces the Preserve
@@ -196,7 +191,7 @@ class NetEnv {
   /// Non-empty once a send hit a hard socket error; sends are no-ops after.
   const std::string& wire_error() const noexcept { return wire_error_; }
 
-  sim::Task send_mixed(int p, int c, MixedT msg) {
+  sim::Task send_mixed(int p, int c, MixedT&& msg) {
     (void)p;
     if (msg.has_block && cfg_.network_bandwidth > 0) {
       // Token bucket: each block reserves its transfer time on the shared
@@ -226,7 +221,7 @@ class NetEnv {
     co_await write_frame(net::encode_mixed(w));
   }
 
-  sim::Task send_done(int p, int c, MixedT msg) {
+  sim::Task send_done(int p, int c, MixedT&& msg) {
     return send_mixed(p, c, std::move(msg));
   }
 
@@ -388,7 +383,7 @@ class NetEnv {
   exec::EpollExecutor* ex_;
   NetEnvConfig cfg_;
   sim::Time et0_ = ex_->now();
-  NetBinding::Mutex wire_m_;
+  sim::BasicMutex<exec::EpollExecutor> wire_m_;
   int wire_fd_ = -1;
   std::string wire_error_;
   std::string io_error_;

@@ -591,11 +591,11 @@ sim::Task client_session(exec::EpollExecutor& ex, ClientState& st,
           blk->header = it.h;
           blk->payload.assign(it.h.bytes, fill_byte(it.h.id));
           it.payload = std::move(blk);
-          co_await body.put_header(p, std::move(it));
+          co_await body.put(p, std::move(it));
         }
       }
     }
-    for (int p = 0; p < P; ++p) co_await body.producer_finalize(p);
+    for (int p = 0; p < P; ++p) body.producer_finalize(p);
     for (int p = 0; p < P; ++p) co_await body.wait_sender_done(p);
     if (bc.controller) {
       // control_main's in-flight tick completes within one interval of the

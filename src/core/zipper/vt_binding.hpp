@@ -32,10 +32,8 @@ struct VtBinding {
   using Task = sim::Task;
   using Time = sim::Time;
   using Ctx = sim::Simulation;
-  using Mutex = sim::SimMutex;
   using CondVar = sim::SimCondVar;
   using Latch = sim::Latch;
-  using RawMutex = exec::NullMutex;
   template <typename T>
   using Channel = sim::Channel<T>;
   /// Virtual blocks carry no bytes — headers fully describe the transfer.
@@ -97,28 +95,19 @@ class VtEnv {
 
   /// Credit-windowed block transfer: wait for acks while the window is full
   /// (charging the wait as transmit stall), pay the sender's software cost,
-  /// inject into the fabric.
-  sim::Task send_mixed(int p, int c, MixedT msg) {
+  /// inject into the fabric. `msg` stays the awaiting sender's until the
+  /// send moves it onto the wire, so no frame holds a second copy.
+  sim::Task send_mixed(int p, int c, MixedT&& msg) {
     const std::uint64_t bytes = msg.item.h.bytes;
-    const int prank = producer_rank(p);
     int& in_flight = in_flight_[static_cast<std::size_t>(p)];
-    if (in_flight >= cfg_.sender_window) {
-      const sim::Time w0 = ex_.now();
-      while (in_flight >= cfg_.sender_window) {
-        mpi::Envelope ack;
-        co_await world_->recv(prank, mpi::kAnySource, kZipperAckTag, ack);
-        --in_flight;
-      }
-      world_->fabric().charge_xmit_wait(world_->host_of(prank),
-                                        ex_.now() - w0);
-    }
+    if (in_flight >= cfg_.sender_window) co_await wait_for_credit(p);
     co_await ex_.simulation().delay(cost(bytes, cfg_.sender_bandwidth));
-    co_await world_->send(prank, consumer_rank(c), kZipperTag, bytes,
-                          std::any{std::move(msg)});
+    co_await world_->send(producer_rank(p), consumer_rank(c), kZipperTag,
+                          bytes, std::any{std::move(msg)});
     ++in_flight;
   }
 
-  sim::Task send_done(int p, int c, MixedT msg) {
+  sim::Task send_done(int p, int c, MixedT&& msg) {
     co_await world_->send(producer_rank(p), consumer_rank(c), kZipperTag, 64,
                           std::any{std::move(msg)});
   }
@@ -194,6 +183,20 @@ class VtEnv {
   /// Nap length between steal probes while idle: short against any realistic
   /// per-block analysis time, so a freshly overloaded peer is noticed fast.
   static constexpr sim::Time kStealPoll = 200 * sim::kMicrosecond;
+
+  /// Receives acks while p's credit window is full and charges the wait; a
+  /// child of send_mixed, so its state takes frame space only meanwhile.
+  sim::Task wait_for_credit(int p) {
+    const int prank = producer_rank(p);
+    int& in_flight = in_flight_[static_cast<std::size_t>(p)];
+    const sim::Time w0 = ex_.now();
+    while (in_flight >= cfg_.sender_window) {
+      mpi::Envelope ack;
+      co_await world_->recv(prank, mpi::kAnySource, kZipperAckTag, ack);
+      --in_flight;
+    }
+    world_->fabric().charge_xmit_wait(world_->host_of(prank), ex_.now() - w0);
+  }
 
   int producer_rank(int p) const noexcept {
     return cfg_.first_producer_rank + p;

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "sim/simulation.hpp"
-#include "sim/task.hpp"
 
 namespace zipper::sim {
 
@@ -80,24 +79,8 @@ class BasicCondVar {
   BasicCondVar(const BasicCondVar&) = delete;
   BasicCondVar& operator=(const BasicCondVar&) = delete;
 
-  /// Atomically releases `m`, parks, and re-acquires `m` before returning.
-  /// Standard predicate-loop usage:
-  ///   while (!pred()) co_await cv.wait(m);
-  Task wait(BasicMutex<Sched>& m) {
-    m.unlock();
-    co_await Park{this};
-    co_await m.lock();
-  }
-
-  void notify_one() {
-    if (SchedNode* n = waiters_.pop_front()) sched_->schedule_node_now(n);
-  }
-
-  void notify_all() { sched_->wake_all_now(waiters_); }
-
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
-
- private:
+  /// Awaiter of wait(): the waiter's intrusive node, held in the awaiting
+  /// frame (or embedded in a larger awaiter, as the zipper put path does).
   struct Park {
     BasicCondVar* cv;
     SchedNode node{};
@@ -109,6 +92,21 @@ class BasicCondVar {
     void await_resume() const noexcept {}
   };
 
+  /// Parks until a notify. No mutex and no frame: every user runs on one
+  /// scheduler thread and re-checks its predicate between suspensions.
+  /// Standard predicate-loop usage:
+  ///   while (!pred()) co_await cv.wait();
+  Park wait() noexcept { return Park{this}; }
+
+  void notify_one() {
+    if (SchedNode* n = waiters_.pop_front()) sched_->schedule_node_now(n);
+  }
+
+  void notify_all() { sched_->wake_all_now(waiters_); }
+
+  std::size_t waiter_count() const noexcept { return waiters_.size(); }
+
+ private:
   Sched* sched_;
   WaitList waiters_;
 };

@@ -13,11 +13,12 @@ constexpr int kFetchTag = 5100;
 constexpr int kDataTag = 5101;
 }  // namespace
 
+// No mutex: the producer and its publisher service run on one Simulation
+// and touch the state only between suspensions.
 struct FlexpathCoupling::Publisher {
-  explicit Publisher(sim::Simulation& s) : m(s), cv(s) {}
+  explicit Publisher(sim::Simulation& s) : cv(s) {}
   int published_step = -1;  // highest step in the event channel
   bool done = false;
-  sim::SimMutex m;
   sim::SimCondVar cv;
 };
 
@@ -49,18 +50,15 @@ sim::Task FlexpathCoupling::producer_step(int p, int step) {
   const std::uint64_t bytes = profile_.bytes_per_rank_per_step;
   co_await cl_->sim.delay(static_cast<Time>(
       static_cast<double>(bytes) / params_.flexpath_copy_bandwidth * 1e9));
-  co_await pub.m.lock();
   pub.published_step = step;
   pub.cv.notify_all();
-  pub.m.unlock();
 }
 
 sim::Task FlexpathCoupling::producer_finalize(int p) {
   auto& pub = *pubs_[static_cast<std::size_t>(p)];
-  co_await pub.m.lock();
   pub.done = true;
   pub.cv.notify_all();
-  pub.m.unlock();
+  co_return;
 }
 
 sim::Task FlexpathCoupling::publisher_service(int p) {
@@ -74,9 +72,7 @@ sim::Task FlexpathCoupling::publisher_service(int p) {
     mpi::Envelope fetch;
     co_await cl_->world->recv(rank, mpi::kAnySource, kFetchTag, fetch);
     // Wait until this step is in the event channel.
-    co_await pub.m.lock();
-    while (pub.published_step < step && !pub.done) co_await pub.cv.wait(pub.m);
-    pub.m.unlock();
+    while (pub.published_step < step && !pub.done) co_await pub.cv.wait();
     // Socket path: host-wide socket stack, then the wire.
     co_await socket_stack_[static_cast<std::size_t>(host)]->transfer(bytes);
     co_await cl_->world->send(rank, fetch.src, kDataTag, bytes);

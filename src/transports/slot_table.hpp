@@ -6,7 +6,8 @@
 // only once every reader of step k - num_slots released it (so unread data is
 // never overwritten); readers of step k wait until all P writers deposited
 // step k. With num_slots == 1 this degenerates into the strict
-// writer-reader interlock the ADIOS uniform interface imposes.
+// writer-reader interlock the ADIOS uniform interface imposes. No mutex: all
+// parties run on one Simulation and touch the counts between suspensions.
 #pragma once
 
 #include <map>
@@ -20,38 +21,30 @@ namespace zipper::transports {
 class SlotTable {
  public:
   SlotTable(sim::Simulation& sim, int num_slots, int writers, int readers)
-      : num_slots_(num_slots), writers_(writers), readers_(readers), m_(sim),
+      : num_slots_(num_slots), writers_(writers), readers_(readers),
         cv_(sim) {}
 
   /// Blocks the writer until step's slot is recycled (lock_on_write).
   sim::Task writer_acquire(int step) {
-    co_await m_.lock();
-    while (!write_allowed(step)) co_await cv_.wait(m_);
-    m_.unlock();
+    while (!write_allowed(step)) co_await cv_.wait();
   }
 
   /// Marks one writer of `step` done (unlock_on_write).
-  sim::Task writer_release(int step) {
-    co_await m_.lock();
+  void writer_release(int step) {
     ++writers_done_[step];
     cv_.notify_all();
-    m_.unlock();
   }
 
   /// Blocks the reader until all writers deposited `step` (lock_on_read).
   sim::Task reader_acquire(int step) {
-    co_await m_.lock();
-    while (writers_done_[step] < writers_) co_await cv_.wait(m_);
-    m_.unlock();
+    while (writers_done_[step] < writers_) co_await cv_.wait();
   }
 
   /// Marks one reader of `step` done; may recycle the slot for a waiting
   /// writer (unlock_on_read).
-  sim::Task reader_release(int step) {
-    co_await m_.lock();
+  void reader_release(int step) {
     ++readers_done_[step];
     cv_.notify_all();
-    m_.unlock();
   }
 
   int num_slots() const noexcept { return num_slots_; }
@@ -63,7 +56,6 @@ class SlotTable {
   }
 
   int num_slots_, writers_, readers_;
-  sim::SimMutex m_;
   sim::SimCondVar cv_;
   std::map<int, int> writers_done_;
   std::map<int, int> readers_done_;

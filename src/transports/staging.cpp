@@ -91,7 +91,7 @@ sim::Task StagingCoupling::producer_step(int p, int step) {
   }
   {
     trace::ScopedSpan s(cl_->recorder, sim, rank, trace::Cat::kLock);
-    co_await slots_->writer_release(step);
+    slots_->writer_release(step);
     co_await lock_rpc(rank, /*generic_layer=*/true);  // unlock_on_write
   }
 }
@@ -142,7 +142,7 @@ sim::Task StagingCoupling::consumer_run(int c) {
     }
     {
       trace::ScopedSpan s(cl_->recorder, sim, rank, trace::Cat::kLock);
-      co_await slots_->reader_release(step);
+      slots_->reader_release(step);
       co_await lock_rpc(rank, /*generic_layer=*/true);  // unlock_on_read
     }
   }

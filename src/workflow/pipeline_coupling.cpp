@@ -130,7 +130,7 @@ sim::Task PipelineCoupling::producer_step(int p, int step) {
 
 sim::Task PipelineCoupling::producer_block(int p, int step, int block,
                                            int num_blocks) {
-  return zips_[0]->producer_put_block(p, step, block, num_blocks);
+  co_await zips_[0]->producer_put_block(p, step, block, num_blocks);
 }
 
 int PipelineCoupling::producer_blocks_per_step() const {

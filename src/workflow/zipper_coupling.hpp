@@ -94,7 +94,7 @@ class ZipperCoupling : public Coupling {
     return zip_->producer_put(p, step);
   }
   sim::Task producer_block(int p, int step, int block, int num_blocks) override {
-    return zip_->producer_put_block(p, step, block, num_blocks);
+    co_await zip_->producer_put_block(p, step, block, num_blocks);
   }
   int producer_blocks_per_step() const override { return zip_->blocks_per_step(); }
   sim::Task producer_finalize(int p) override { return zip_->producer_finalize(p); }

@@ -527,27 +527,21 @@ TYPED_TEST(MutexTest, TryLock) {
 
 TYPED_TEST(CondVarTest, PredicateLoopWakesOnNotify) {
   auto& s = this->s;
-  BasicMutex<TypeParam> m(s);
   BasicCondVar<TypeParam> cv(s);
   bool ready = false;
   Time woke_at = -1;
 
-  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
-             BasicCondVar<TypeParam>& c, bool& r, Time& w) -> Task {
-    co_await mx.lock();
-    while (!r) co_await c.wait(mx);
+  s.spawn([](TypeParam& sc, BasicCondVar<TypeParam>& c, bool& r,
+             Time& w) -> Task {
+    while (!r) co_await c.wait();
     w = sc.now();
-    mx.unlock();
-  }(s, m, cv, ready, woke_at));
+  }(s, cv, ready, woke_at));
 
-  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
-             BasicCondVar<TypeParam>& c, bool& r) -> Task {
+  s.spawn([](TypeParam& sc, BasicCondVar<TypeParam>& c, bool& r) -> Task {
     co_await pause(sc, 250);
-    co_await mx.lock();
     r = true;
-    mx.unlock();
     c.notify_one();
-  }(s, m, cv, ready));
+  }(s, cv, ready));
 
   this->run();
   this->expect_elapsed(woke_at, 250);
@@ -555,58 +549,45 @@ TYPED_TEST(CondVarTest, PredicateLoopWakesOnNotify) {
 
 TYPED_TEST(CondVarTest, NotifyAllWakesEveryone) {
   auto& s = this->s;
-  BasicMutex<TypeParam> m(s);
   BasicCondVar<TypeParam> cv(s);
   bool go = false;
   std::vector<int> woke;
   for (int i = 0; i < 5; ++i) {
-    s.spawn([](BasicMutex<TypeParam>& mx, BasicCondVar<TypeParam>& c,
-               bool& g, std::vector<int>& w, int id) -> Task {
-      co_await mx.lock();
-      while (!g) co_await c.wait(mx);
+    s.spawn([](BasicCondVar<TypeParam>& c, bool& g, std::vector<int>& w,
+               int id) -> Task {
+      while (!g) co_await c.wait();
       w.push_back(id);
-      mx.unlock();
-    }(m, cv, go, woke, i));
+    }(cv, go, woke, i));
   }
-  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
-             BasicCondVar<TypeParam>& c, bool& g) -> Task {
+  s.spawn([](TypeParam& sc, BasicCondVar<TypeParam>& c, bool& g) -> Task {
     co_await pause(sc, 10);
-    co_await mx.lock();
     g = true;
-    mx.unlock();
     c.notify_all();
-  }(s, m, cv, go));
+  }(s, cv, go));
   this->run();
-  // Park order is wake order, and the mutex hands off FIFO after that.
+  // Park order is wake order.
   EXPECT_EQ(woke, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
 TYPED_TEST(CondVarTest, SpuriousSafeWithPredicate) {
   auto& s = this->s;
-  BasicMutex<TypeParam> m(s);
   BasicCondVar<TypeParam> cv(s);
   bool ready = false;
   int wakeups = 0;
-  s.spawn([](BasicMutex<TypeParam>& mx, BasicCondVar<TypeParam>& c, bool& r,
-             int& w) -> Task {
-    co_await mx.lock();
+  s.spawn([](BasicCondVar<TypeParam>& c, bool& r, int& w) -> Task {
     while (!r) {
-      co_await c.wait(mx);
+      co_await c.wait();
       ++w;
     }
-    mx.unlock();
-  }(m, cv, ready, wakeups));
-  s.spawn([](TypeParam& sc, BasicMutex<TypeParam>& mx,
-             BasicCondVar<TypeParam>& c, bool& r) -> Task {
+  }(cv, ready, wakeups));
+  s.spawn([](TypeParam& sc, BasicCondVar<TypeParam>& c, bool& r) -> Task {
     co_await pause(sc, 5);
     c.notify_one();  // spurious: predicate still false
     co_await pause(sc, 5);
-    co_await mx.lock();
     r = true;
-    mx.unlock();
     c.notify_one();
-  }(s, m, cv, ready));
+  }(s, cv, ready));
   this->run();
   EXPECT_EQ(wakeups, 2);
 }

@@ -5,10 +5,14 @@
 // lower bounds, and terminate.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "apps/profiles.hpp"
 #include "common/units.hpp"
+#include "core/zipper/vt_binding.hpp"
 #include "workflow/runner.hpp"
 #include "workflow/zipper_coupling.hpp"
 
@@ -234,4 +238,144 @@ TEST(ZipperFault, SingleConsumerManyProducers) {
   workflow::ZipperCoupling coupling(cluster, prof, z);
   workflow::run_workflow(cluster, prof, &coupling);
   EXPECT_EQ(coupling.stats().blocks_analyzed, coupling.stats().blocks_total);
+}
+
+// ------------------------------------------------------------ forced stalls --
+
+namespace {
+
+/// A one-block producer buffer in front of a slow analysis, so the put path
+/// parks on nearly every block. The body is driven directly, which exposes
+/// producer_buffer_full() next to each put.
+struct StallRig {
+  static constexpr int kP = 4, kQ = 2, kSteps = 4;
+  static constexpr std::uint64_t kBlock = 256 * KiB;
+
+  apps::WorkloadProfile prof = sweep_profile();
+  Cluster cluster{ClusterSpec::bridges(), Layout{kP, kQ, 0}};
+  std::unique_ptr<core::zbody::VtEnv> env;
+  std::unique_ptr<core::zbody::ZipperBody<core::zbody::VtBinding>> body;
+  std::vector<std::pair<int, core::BlockHeader>> analyzed;  // (consumer, block)
+  int puts = 0, parked_puts = 0, mispredicted = 0;
+
+  explicit StallRig(bool spill) {
+    prof.steps = kSteps;
+    prof.bytes_per_rank_per_step = 4 * kBlock;
+    prof.analysis_ns_per_byte = 40.0;
+    core::zbody::VtEnvConfig ec;
+    ec.first_consumer_rank = cluster.consumer_rank(0);
+    env = std::make_unique<core::zbody::VtEnv>(
+        cluster.sim, *cluster.world, *cluster.fs, cluster.recorder, prof, ec,
+        kP, kQ);
+    core::zbody::BodyConfig bc;
+    bc.block_bytes = kBlock;
+    bc.producer_buffer_blocks = 1;
+    bc.enable_steal = spill;
+    bc.step_bytes = prof.bytes_per_rank_per_step;
+    bc.first_consumer_rank = cluster.consumer_rank(0);
+    bc.on_analyzed = [this](int c, const core::BlockHeader& h) {
+      analyzed.emplace_back(c, h);
+    };
+    body = std::make_unique<core::zbody::ZipperBody<core::zbody::VtBinding>>(
+        *env, bc, kP, kQ);
+  }
+
+  sim::Task produce(int p) {
+    const int nb = body->blocks_per_step();
+    for (int step = 0; step < kSteps; ++step) {
+      for (int b = 0; b < nb; ++b) {
+        co_await cluster.sim.delay(100 * sim::kMicrosecond);
+        // A put parks exactly when the buffer is full as it starts: any
+        // event dispatched before the put returns is the wake that ends its
+        // park, and the buffer stays full until then.
+        const bool full = body->producer_buffer_full(p);
+        const std::uint64_t before = cluster.sim.events_dispatched();
+        co_await body->producer_put_block(p, step, b, nb);
+        const bool parked = cluster.sim.events_dispatched() != before;
+        ++puts;
+        if (parked) ++parked_puts;
+        if (parked != full) ++mispredicted;
+      }
+    }
+    body->producer_finalize(p);
+  }
+
+  void run() {
+    for (int p = 0; p < kP; ++p) body->spawn_producer_services(p);
+    for (int p = 0; p < kP; ++p) cluster.sim.spawn(produce(p));
+    for (int c = 0; c < kQ; ++c) cluster.sim.spawn(body->consumer_run(c));
+    cluster.sim.run();
+  }
+
+  void expect_put_path_invariants() const {
+    const int total = kP * kSteps * body->blocks_per_step();
+    EXPECT_EQ(puts, total);
+    EXPECT_EQ(mispredicted, 0);
+    EXPECT_GE(parked_puts, total / 2) << "the rig must force stalls";
+    core::exec::AggregateStats agg;
+    body->aggregate_into(agg);
+    EXPECT_EQ(agg.blocks_analyzed, static_cast<std::uint64_t>(total));
+    ASSERT_EQ(analyzed.size(), static_cast<std::size_t>(total));
+
+    // Per-producer FIFO at the consumers, on each channel: the sender and
+    // the writer both take the buffer's head.
+    std::map<std::tuple<int, int, bool>, core::BlockId> last;
+    for (const auto& [c, h] : analyzed) {
+      const auto key = std::make_tuple(c, h.id.producer, h.on_disk);
+      if (auto it = last.find(key); it != last.end()) {
+        EXPECT_LT(it->second, h.id) << "consumer " << c << " saw "
+                                    << h.id.to_string() << " out of order";
+      }
+      last[key] = h.id;
+    }
+
+    // The stall counter and the kStall spans come from the same t0 and dt.
+    sim::Time span_sum = 0;
+    for (int p = 0; p < kP; ++p) {
+      const sim::Time spans =
+          cluster.recorder.total(trace::Cat::kStall, cluster.producer_rank(p));
+      EXPECT_EQ(body->producer_stats(p).stall_ns,
+                static_cast<std::uint64_t>(spans))
+          << "producer " << p;
+      EXPECT_GT(spans, 0) << "producer " << p;
+      span_sum += spans;
+    }
+    EXPECT_EQ(agg.producer_stall, span_sum);
+  }
+
+  /// The schedule's fingerprint: event count, end time and total stall.
+  /// Equal-time wakes taken in another order keep the count but move the
+  /// other two.
+  void expect_schedule(std::uint64_t events, sim::Time end,
+                       sim::Time stall) const {
+    core::exec::AggregateStats agg;
+    body->aggregate_into(agg);
+    EXPECT_EQ(cluster.sim.events_dispatched(), events);
+    EXPECT_EQ(cluster.sim.now(), end);
+    EXPECT_EQ(agg.producer_stall, stall);
+  }
+};
+
+}  // namespace
+
+// The pinned schedules were taken before the put path lost its coroutine
+// frame and the producer mutex; a reordered wake moves them.
+TEST(ZipperForcedStall, PutPathKeepsItsScheduleUnderForcedStalls) {
+  StallRig rig(/*spill=*/false);
+  rig.run();
+  rig.expect_put_path_invariants();
+  core::exec::AggregateStats agg;
+  rig.body->aggregate_into(agg);
+  EXPECT_EQ(agg.blocks_stolen, 0u);
+  rig.expect_schedule(838, 340'004'382, 195'387'582);
+}
+
+TEST(ZipperForcedStall, PutPathKeepsItsScheduleWithTheWriterSpilling) {
+  StallRig rig(/*spill=*/true);
+  rig.run();
+  rig.expect_put_path_invariants();
+  core::exec::AggregateStats agg;
+  rig.body->aggregate_into(agg);
+  EXPECT_GT(agg.blocks_stolen, 0u) << "the writer must take part";
+  rig.expect_schedule(960, 340'004'382, 105'460'600);
 }
